@@ -11,7 +11,7 @@ declaration order), so golden tests can pin exact derivations.
 
 from __future__ import annotations
 
-from .grammar import GrammarError, ResourceLimitError, Rule, is_cnf
+from .grammar import GrammarError, ResourceLimitError
 
 DEFAULT_TREE_CAP = 100_000
 
@@ -20,22 +20,11 @@ class NotAMemberError(ValueError):
     """Asked for a parse of a word the grammar does not derive."""
 
 
-def _indexes(g):
-    if not is_cnf(g):
-        raise GrammarError("CYK needs a grammar in Chomsky normal form")
-    by_terminal = {}
-    by_pair = {}
-    for r in g.rules:
-        if len(r.rhs) == 1:
-            by_terminal.setdefault(r.rhs[0], []).append(r.lhs)
-        else:
-            by_pair.setdefault(r.rhs, []).append(r.lhs)
-    return by_terminal, by_pair
-
-
 def build_table(g, w):
     """The recognition table as {(i, j): set of nonterminals}, 1-based."""
-    by_terminal, by_pair = _indexes(g)
+    if g._cnf_index is None:
+        raise GrammarError("CYK needs a grammar in Chomsky normal form")
+    by_terminal, by_pair = g._cnf_index
     n = len(w)
     cells = {}
     for i in range(1, n + 1):
@@ -80,14 +69,14 @@ def extract_tree(g, w, table=None):
     n = len(w)
     if g.start not in table[(1, n)]:
         raise NotAMemberError(f"{w!r} is not in the language")
-    binary_rules = [r for r in g.rules if len(r.rhs) == 2]
+    heads = g._heads
 
     def build(a, i, j):
         if i == j:
             return (a, (w[i - 1],))
         for l in range(i, j):
-            for r in binary_rules:
-                if (r.lhs == a and r.rhs[0] in table[(i, l)]
+            for r in heads[a]:
+                if (len(r.rhs) == 2 and r.rhs[0] in table[(i, l)]
                         and r.rhs[1] in table[(l + 1, j)]):
                     return (a, (build(r.rhs[0], i, l),
                                 build(r.rhs[1], l + 1, j)))
@@ -110,7 +99,7 @@ def all_trees(g, w, cap=DEFAULT_TREE_CAP):
     n = len(w)
     if g.start not in table[(1, n)]:
         return []
-    binary_rules = [r for r in g.rules if len(r.rhs) == 2]
+    heads = g._heads
     memo = {}
     count = [0]
 
@@ -119,12 +108,11 @@ def all_trees(g, w, cap=DEFAULT_TREE_CAP):
         if key in memo:
             return memo[key]
         found = []
-        if i == j:
-            if Rule(a, (w[i - 1],)) in g.rules:
-                found.append((a, (w[i - 1],)))
+        if i == j and a in table[(i, i)]:
+            found.append((a, (w[i - 1],)))
         for l in range(i, j):
-            for r in binary_rules:
-                if (r.lhs == a and r.rhs[0] in table[(i, l)]
+            for r in heads[a]:
+                if (len(r.rhs) == 2 and r.rhs[0] in table[(i, l)]
                         and r.rhs[1] in table[(l + 1, j)]):
                     for left in trees(r.rhs[0], i, l):
                         for right in trees(r.rhs[1], l + 1, j):
@@ -145,7 +133,7 @@ def count_trees(g, w):
         return 0
     table = build_table(g, w)
     n = len(w)
-    binary_rules = [r for r in g.rules if len(r.rhs) == 2]
+    heads = g._heads
     memo = {}
 
     def count(a, i, j):
@@ -153,11 +141,11 @@ def count_trees(g, w):
         if key in memo:
             return memo[key]
         total = 0
-        if i == j and Rule(a, (w[i - 1],)) in g.rules:
+        if i == j and a in table[(i, i)]:
             total += 1
         for l in range(i, j):
-            for r in binary_rules:
-                if (r.lhs == a and r.rhs[0] in table[(i, l)]
+            for r in heads.get(a, ()):
+                if (len(r.rhs) == 2 and r.rhs[0] in table[(i, l)]
                         and r.rhs[1] in table[(l + 1, j)]):
                     total += count(r.rhs[0], i, l) * count(r.rhs[1], l + 1, j)
         memo[key] = total

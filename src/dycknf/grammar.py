@@ -14,8 +14,9 @@ The text format, one grammar per file:
     T -> 'a' | T '*' R
     R -> 'a'
 
-Quoted single characters are terminals, bare identifiers are nonterminals,
-and the reserved word `eps` denotes an empty right-hand side.  A nonterminal
+Quoted single characters are terminals (any character but a newline, so
+'|', ''' and '#' included), bare identifiers are nonterminals, and the
+reserved word `eps` denotes an empty right-hand side.  A nonterminal
 is declared by appearing on the left of some rule; using an identifier that
 is never declared is an error.  Repeating a left-hand side on several lines
 appends alternatives.
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class GrammarError(ValueError):
@@ -60,7 +62,21 @@ class Rule:
 
 
 class Grammar:
-    """A context-free grammar with declaration-ordered symbol lists."""
+    """A context-free grammar with declaration-ordered symbol lists.
+
+    A Grammar is never mutated after construction: the constructor copies
+    the lists it is given, and nothing changes the public fields afterwards.
+    So the questions every layer asks of a grammar are answered from indexes
+    built once, on first use, and cached on the instance:
+
+      * `_heads`: head -> tuple of its rules in declaration order
+        (rules_for, has_rule, validate_tree and the CYK tree walks);
+      * `_cnf_index`: the CYK maps terminal -> heads and body -> heads, or
+        None when the grammar is not in Chomsky normal form (is_cnf and
+        cyk.build_table);
+      * `_dyck_check`: the Dyck normal form violations, and the canonical
+        pairing when there are none (dyck_nf_violations and pairing_of).
+    """
 
     def __init__(self, nonterminals, terminals, start, rules):
         self.nonterminals = list(nonterminals)
@@ -70,6 +86,30 @@ class Grammar:
         self._nt_set = set(self.nonterminals)
         self._t_set = set(self.terminals)
 
+    @cached_property
+    def _heads(self):
+        heads = {}
+        for r in self.rules:
+            heads.setdefault(r.lhs, []).append(r)
+        return {a: tuple(rules) for a, rules in heads.items()}
+
+    @cached_property
+    def _cnf_index(self):
+        by_terminal = {}
+        by_pair = {}
+        for r in self.rules:
+            if not _is_cnf_rule(self, r):
+                return None
+            if len(r.rhs) == 1:
+                by_terminal.setdefault(r.rhs[0], []).append(r.lhs)
+            else:
+                by_pair.setdefault(r.rhs, []).append(r.lhs)
+        return by_terminal, by_pair
+
+    @cached_property
+    def _dyck_check(self):
+        return _check_dyck_nf(self)
+
     def is_nonterminal(self, name):
         return name in self._nt_set
 
@@ -77,10 +117,10 @@ class Grammar:
         return name in self._t_set
 
     def rules_for(self, nt):
-        return [r for r in self.rules if r.lhs == nt]
+        return list(self._heads.get(nt, ()))
 
     def has_rule(self, rule):
-        return rule in self.rules
+        return rule in self._heads.get(rule.lhs, ())
 
     def __eq__(self, other):
         if not isinstance(other, Grammar):
@@ -102,25 +142,15 @@ class Grammar:
 # ---- text format ----
 
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_TOKEN = re.compile(r"'([^'\n])'|([A-Za-z][A-Za-z0-9_]*)|(\S)")
+_TOKEN = re.compile(r"'([^\n])'|([A-Za-z][A-Za-z0-9_]*)|(\S)")
+# a line up to its comment: '#' starts one anywhere outside a quoted terminal
+_CODE = re.compile(r"(?:'[^\n]'|[^#])*")
 
 DEFAULT_MAX_RHS = 8
 
 
 def _strip_comment(line):
-    # '#' starts a comment anywhere outside a quoted terminal
-    i = 0
-    while i < len(line):
-        if line[i] == "'":
-            closing = line.find("'", i + 1)
-            if closing == -1:
-                break
-            i = closing + 1
-        elif line[i] == "#":
-            return line[:i]
-        else:
-            i += 1
-    return line
+    return _CODE.match(line).group()
 
 
 def parse_grammar(text, max_rhs_len=DEFAULT_MAX_RHS):
@@ -129,8 +159,9 @@ def parse_grammar(text, max_rhs_len=DEFAULT_MAX_RHS):
     # (lhs, rhs_tokens, line, col) where rhs tokens are ('t'|'n', name)
     raw_rules = []
     declared_order = []
+    declared = set()
 
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         line = _strip_comment(line)
         stripped = line.strip()
         if not stripped:
@@ -154,12 +185,10 @@ def parse_grammar(text, max_rhs_len=DEFAULT_MAX_RHS):
         if lhs == "eps":
             raise ParseError("'eps' is reserved and cannot name a nonterminal",
                              lineno, 1)
-        if lhs not in declared_order:
+        if lhs not in declared:
+            declared.add(lhs)
             declared_order.append(lhs)
-        rhs_base = line.index("->") + 3
-        for alt in rhs_text.split("|"):
-            tokens = _tokenize_alt(alt, lineno, rhs_base)
-            rhs_base += len(alt) + 1
+        for tokens in _tokenize_rhs(rhs_text, lineno, len(lhs_text) + 3):
             if len(tokens) > max_rhs_len:
                 raise ParseError(
                     f"rule body has {len(tokens)} symbols, limit is "
@@ -168,66 +197,73 @@ def parse_grammar(text, max_rhs_len=DEFAULT_MAX_RHS):
 
     if start is None:
         raise ParseError("missing 'start:' declaration", 1, 1)
-    if start not in declared_order:
+    if start not in declared:
         raise ParseError(f"start symbol {start!r} has no rules", 1, 1)
 
-    nonterminals = declared_order
-    nt_set = set(nonterminals)
     terminals = []
+    seen_terminals = set()
     rules = []
+    seen_rules = set()
     for lhs, tokens, lineno in raw_rules:
         rhs = []
         for kind, name, col in tokens:
             if kind == "n":
-                if name not in nt_set:
+                if name not in declared:
                     raise ParseError(f"undeclared symbol {name!r}", lineno,
                                      col)
             else:
-                if name in nt_set:
+                if name in declared:
                     raise ParseError(
                         f"terminal {name!r} collides with a nonterminal of "
                         f"the same name", lineno, col)
-                if name not in terminals:
+                if name not in seen_terminals:
+                    seen_terminals.add(name)
                     terminals.append(name)
             rhs.append(name)
         rule = Rule(lhs, tuple(rhs))
-        if rule in rules:
+        if rule in seen_rules:
             raise ParseError(f"duplicate rule {rule}", lineno, 1)
+        seen_rules.add(rule)
         rules.append(rule)
 
-    return Grammar(nonterminals, terminals, start, rules)
+    return Grammar(declared_order, terminals, start, rules)
 
 
-def _tokenize_alt(alt, lineno, base_col):
-    """Tokenize one alternative into [(kind, name, col)]; kind 't' or 'n'."""
-    tokens = []
-    pos = 0
-    for m in _TOKEN.finditer(alt):
-        between = alt[pos:m.start()]
-        if between.strip():
-            raise ParseError(f"stray text {between.strip()!r}", lineno,
-                             base_col + pos)
-        pos = m.end()
+def _tokenize_rhs(rhs, lineno, base_col):
+    """A right-hand side's alternatives, each a list of (kind, name, col).
+
+    kind is 't' or 'n'.  The whole side is tokenized before it is split on
+    bare '|' tokens, so the quoted terminal '|' stays a terminal.
+    """
+    alts = [[]]
+    alt_cols = [base_col]
+    for m in _TOKEN.finditer(rhs):
         col = base_col + m.start()
-        if m.group(1) is not None:
-            tokens.append(("t", m.group(1), col))
-        elif m.group(2) is not None:
-            tokens.append(("n", m.group(2), col))
+        if m.lastindex == 1:
+            alts[-1].append(("t", m.group(1), col))
+        elif m.lastindex == 2:
+            alts[-1].append(("n", m.group(2), col))
+        elif m.group(3) == "|":
+            alts.append([])
+            alt_cols.append(col + 1)
         else:
             raise ParseError(f"unexpected character {m.group(3)!r}", lineno,
                              col)
-    if alt[pos:].strip():
-        raise ParseError(f"stray text {alt[pos:].strip()!r}", lineno,
-                         base_col + pos)
+    return [_check_alt(tokens, lineno, col)
+            for tokens, col in zip(alts, alt_cols)]
+
+
+def _check_alt(tokens, lineno, col):
+    """An alternative's tokens, or [] for the lone word 'eps'."""
     if len(tokens) == 1 and tokens[0][1] == "eps" and tokens[0][0] == "n":
         return []
-    for kind, name, col in tokens:
+    for kind, name, tcol in tokens:
         if kind == "n" and name == "eps":
             raise ParseError("'eps' cannot be mixed with other symbols",
-                             lineno, col)
+                             lineno, tcol)
     if not tokens:
         raise ParseError("empty alternative (write 'eps' for a lambda rule)",
-                         lineno, base_col)
+                         lineno, col)
     return tokens
 
 
@@ -305,14 +341,13 @@ def validate(g, allow_lambda=False):
 
 def is_cnf(g):
     """True when every rule is head -> terminal or head -> pair of heads."""
-    for r in g.rules:
-        if len(r.rhs) == 1 and g.is_terminal(r.rhs[0]):
-            continue
-        if (len(r.rhs) == 2 and g.is_nonterminal(r.rhs[0])
-                and g.is_nonterminal(r.rhs[1])):
-            continue
-        return False
-    return True
+    return g._cnf_index is not None
+
+
+def _is_cnf_rule(g, r):
+    return (len(r.rhs) == 1 and g.is_terminal(r.rhs[0])
+            or len(r.rhs) == 2 and g.is_nonterminal(r.rhs[0])
+            and g.is_nonterminal(r.rhs[1]))
 
 
 def dyck_nf_violations(g):
@@ -329,49 +364,47 @@ def dyck_nf_violations(g):
       * the start symbol stays off every right-hand side ("start-on-rhs"),
         so that the bracket structure below covers the whole parse tree.
     """
-    violations = []
-    for r in g.rules:
-        if len(r.rhs) == 1 and g.is_terminal(r.rhs[0]):
-            continue
-        if (len(r.rhs) == 2 and g.is_nonterminal(r.rhs[0])
-                and g.is_nonterminal(r.rhs[1])):
-            continue
-        violations.append(("not-cnf", str(r)))
-    if violations:
-        return violations
+    return list(g._dyck_check[0])
 
+
+def _check_dyck_nf(g):
+    """(violations, pairing): the pairing is None unless there are none."""
+    if not is_cnf(g):
+        return tuple(("not-cnf", str(r)) for r in g.rules
+                     if not _is_cnf_rule(g, r)), None
+
+    violations = []
+    pairs = []
     lefts = {}
     rights = {}
-    occurs_left = set()
-    occurs_right = set()
     for r in g.rules:
         if len(r.rhs) != 2:
             continue
         b, c = r.rhs
         if g.start in (b, c):
             violations.append(("start-on-rhs", str(r)))
-        occurs_left.add(b)
-        occurs_right.add(c)
         if b in lefts and lefts[b] != c:
             violations.append(("left-conflict", b, lefts[b], c))
-        lefts.setdefault(b, c)
         if c in rights and rights[c] != b:
             violations.append(("right-conflict", c, rights[c], b))
+        if b not in lefts and c not in rights:
+            pairs.append(r.rhs)
+        lefts.setdefault(b, c)
         rights.setdefault(c, b)
-    for nt in occurs_left & occurs_right:
-        violations.append(("both-sides", nt))
+    violations.extend(("both-sides", nt) for nt in lefts if nt in rights)
 
+    heads = g._heads
     for nt in g.nonterminals:
         if nt == g.start:
             continue
-        nt_rules = g.rules_for(nt)
-        if any(len(r.rhs) == 1 for r in nt_rules) and len(nt_rules) > 1:
+        nt_rules = heads.get(nt, ())
+        if len(nt_rules) > 1 and any(len(r.rhs) == 1 for r in nt_rules):
             violations.append(("mixed-terminal", nt))
-    return violations
+    return tuple(violations), None if violations else tuple(pairs)
 
 
 def is_dyck_nf(g):
-    return not dyck_nf_violations(g)
+    return not g._dyck_check[0]
 
 
 def pairing_of(g):
@@ -381,27 +414,27 @@ def pairing_of(g):
     which is the canonical pair numbering used everywhere in this package
     (pair k of the list is written `[k` / `]k` in Dyck-word text).
     """
-    bad = dyck_nf_violations(g)
+    bad, pairs = g._dyck_check
     if bad:
         raise GrammarError(
-            f"pairing is only defined in Dyck normal form; violations: {bad}")
-    pairs = []
-    seen = set()
-    for r in g.rules:
-        if len(r.rhs) == 2 and tuple(r.rhs) not in seen:
-            seen.add(tuple(r.rhs))
-            pairs.append((r.rhs[0], r.rhs[1]))
-    return pairs
+            f"pairing is only defined in Dyck normal form; violations: "
+            f"{list(bad)}")
+    return list(pairs)
 
 
 # ---- parse trees and derivations ----
 
 def tree_yield(tree):
     """The terminal word a parse tree spells out, left to right."""
-    if isinstance(tree, str):
-        return tree
-    label, children = tree
-    return "".join(tree_yield(c) for c in children)
+    letters = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            letters.append(node)
+        else:
+            stack.extend(reversed(node[1]))
+    return "".join(letters)
 
 
 def tree_label(tree):
@@ -422,16 +455,25 @@ def validate_tree(g, tree, root=None):
 
 
 def _validate_node(g, node):
-    label, children = node
-    rhs = tuple(tree_label(c) for c in children)
-    if Rule(label, rhs) not in g.rules:
-        raise GrammarError(f"tree applies {Rule(label, rhs)}, "
-                           f"which is not a rule of the grammar")
-    for c in children:
-        if isinstance(c, tuple):
-            _validate_node(g, c)
-        elif not g.is_terminal(c):
-            raise GrammarError(f"leaf {c!r} is not a terminal")
+    # preorder over an explicit stack, so deep trees cannot exhaust recursion
+    heads = g._heads
+    terminals = g._t_set
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, tuple):
+            if node not in terminals:
+                raise GrammarError(f"leaf {node!r} is not a terminal")
+            continue
+        label, children = node
+        rhs = tuple(c if isinstance(c, str) else c[0] for c in children)
+        for r in heads.get(label, ()):
+            if r.rhs == rhs:
+                break
+        else:
+            raise GrammarError(f"tree applies {Rule(label, rhs)}, "
+                               f"which is not a rule of the grammar")
+        stack.extend(reversed(children))
 
 
 def leftmost_derivation(g, tree):

@@ -176,6 +176,7 @@ def to_cnf(g):
         unit_targets[nt] = seen
     final = [r for r in rules
              if not (len(r.rhs) == 1 and not g.is_terminal(r.rhs[0]))]
+    in_final = set(final)
     for nt in nts:
         for tgt in unit_targets[nt]:
             if tgt == nt:
@@ -185,7 +186,8 @@ def to_cnf(g):
                         and not (len(r.rhs) == 1
                                  and not g.is_terminal(r.rhs[0]))):
                     cand = Rule(nt, r.rhs)
-                    if cand not in final:
+                    if cand not in in_final:
+                        in_final.add(cand)
                         final.append(cand)
 
     result = cleanup(Grammar(nts, g.terminals, g.start, final))
@@ -197,17 +199,32 @@ def to_cnf(g):
 # ---- Dyck normal form ----
 
 class _Conversion:
-    """Mutable rule soup for the three conversion steps."""
+    """Mutable rule soup for the three conversion steps.
+
+    Next to the rule list it keeps the positions of each head's rules and of
+    each body's rules in that list, and how many binary bodies hold each
+    symbol as left and as right child, so the steps look rules up instead
+    of rescanning the list.
+    """
 
     def __init__(self, g):
         self.start = g.start
         self.nts = list(g.nonterminals)
         self.terminals = list(g.terminals)
-        self.rules = list(g.rules)
-        self.rule_set = set(self.rules)
+        self._reset(g.rules)
         self.used = set(self.nts) | set(self.terminals)
         self.counters = {}
         self.ledger = []
+
+    def _reset(self, rules):
+        self.rules = []
+        self.rule_set = set()
+        self.by_head = {}
+        self.by_body = {}
+        self.lefts = {}
+        self.rights = {}
+        for r in rules:
+            self.add(r)
 
     def fresh(self, base, tag, kind, step):
         k = self.counters.get((base, tag), 0) + 1
@@ -223,20 +240,40 @@ class _Conversion:
 
     def add(self, rule):
         if rule not in self.rule_set:
+            self.by_head.setdefault(rule.lhs, []).append(len(self.rules))
+            self._index(rule, len(self.rules), 1)
             self.rules.append(rule)
             self.rule_set.add(rule)
 
     def remove(self, rule):
-        self.rules.remove(rule)
-        self.rule_set.discard(rule)
+        # positions shift, so every index is rebuilt; only step 1 removes
+        rules = self.rules
+        rules.remove(rule)
+        self._reset(rules)
 
     def replace_at(self, i, rule):
+        """Put `rule`, which has the same head, at position i."""
+        self._index(self.rules[i], i, -1)
         self.rule_set.discard(self.rules[i])
         self.rules[i] = rule
         self.rule_set.add(rule)
+        self._index(rule, i, 1)
+
+    def _index(self, rule, i, step):
+        if step > 0:
+            self.by_body.setdefault(rule.rhs, []).append(i)
+        else:
+            self.by_body[rule.rhs].remove(i)
+        if len(rule.rhs) == 2:
+            b, c = rule.rhs
+            self.lefts[b] = self.lefts.get(b, 0) + step
+            self.rights[c] = self.rights.get(c, 0) + step
 
     def rules_of(self, nt):
-        return [r for r in self.rules if r.lhs == nt]
+        return [self.rules[i] for i in self.by_head.get(nt, ())]
+
+    def positions_of(self, body):
+        return list(self.by_body.get(body, ()))
 
     def grammar(self):
         return Grammar(self.nts, self.terminals, self.start, self.rules)
@@ -299,7 +336,7 @@ def _split_terminal_conflicts(st):
     # several direct terminal rules: keep the first, fresh stand-ins for the
     # rest
     for a in [nt for nt in st.nts if nt != st.start]:
-        trules = [r for r in st.rules if r.lhs == a and len(r.rhs) == 1]
+        trules = [r for r in st.rules_of(a) if len(r.rhs) == 1]
         for tr in trules[1:]:
             f = st.fresh(a, "t", "terminal", 1)
             st.remove(tr)
@@ -329,21 +366,18 @@ def _separate_sides(st):
         guard += 1
         if guard > 4 * len(st.nts) * max(len(st.rules), 1):
             raise AssertionError("side separation did not stabilize")
-        lefts = {r.rhs[0] for r in st.rules if len(r.rhs) == 2}
-        rights = {r.rhs[1] for r in st.rules if len(r.rhs) == 2}
-        both = lefts & rights
-        if not both:
+        a = next((nt for nt in st.nts
+                  if st.lefts.get(nt) and st.rights.get(nt)), None)
+        if a is None:
             return
-        a = next(nt for nt in st.nts if nt in both)
         neighbors = []
         for r in st.rules:
             if len(r.rhs) == 2 and r.rhs[1] == a and r.rhs[0] not in neighbors:
                 neighbors.append(r.rhs[0])
         for z in neighbors:
             f = st.fresh(a, "R", "nonterminal", 2)
-            for i, r in enumerate(list(st.rules)):
-                if len(r.rhs) == 2 and r.rhs == (z, a):
-                    st.replace_at(i, Rule(r.lhs, (z, f)))
+            for i in st.positions_of((z, a)):
+                st.replace_at(i, Rule(st.rules[i].lhs, (z, f)))
             for r in st.rules_of(a):
                 st.add(Rule(f, r.rhs))
 
@@ -393,9 +427,8 @@ def _make_pairing(st):
         else:
             f = st.fresh(shared, "L", "nonterminal", 3)
             target, replacement = (shared, offender), (f, offender)
-        for i, r in enumerate(list(st.rules)):
-            if len(r.rhs) == 2 and r.rhs == target:
-                st.replace_at(i, Rule(r.lhs, replacement))
+        for i in st.positions_of(target):
+            st.replace_at(i, Rule(st.rules[i].lhs, replacement))
         for r in st.rules_of(shared):
             st.add(Rule(f, r.rhs))
 

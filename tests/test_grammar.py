@@ -4,10 +4,10 @@ trees and derivations."""
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dycknf as d
-from dycknf.corpus import random_cnf_grammar
+from dycknf.corpus import random_cnf_grammar, random_words
 
 
 # ---- parsing and serialization ----
@@ -62,6 +62,35 @@ def test_serialize_round_trip_random(seed):
     assert d.parse_grammar(d.serialize(g)) == g
 
 
+def test_quote_bar_and_hash_terminals_parse():
+    g = d.parse_grammar("start: S\n"
+                        "S -> 'a' '|' 'b' | 'a' ''' 'b'  # comment\n"
+                        "S -> '#'|'|'\n")
+    assert g.terminals == ["a", "|", "b", "'", "#"]
+    assert g.rules == [d.Rule("S", ("a", "|", "b")),
+                       d.Rule("S", ("a", "'", "b")),
+                       d.Rule("S", ("#",)), d.Rule("S", ("|",))]
+
+
+@given(st.lists(st.characters(exclude_characters="\n",
+                              exclude_categories=()),
+                min_size=1, max_size=4, unique=True))
+@example(["|"])
+@example(["'"])
+@example(["#", "'", "|", " "])
+@settings(max_examples=200, deadline=None)
+def test_serialize_round_trip_every_terminal(letters):
+    # two-letter nonterminal names cannot collide with any terminal
+    first, last = letters[0], letters[-1]
+    g = d.Grammar(["S0", "A0"], letters, "S0",
+                  [d.Rule("S0", tuple(letters)),
+                   d.Rule("S0", ("A0", first)),
+                   d.Rule("A0", (last,)),
+                   d.Rule("A0", (first, "A0", last))])
+    d.validate(g)
+    assert d.parse_grammar(d.serialize(g)) == g
+
+
 # ---- normal form predicates ----
 
 def test_is_cnf(expr, expr_cnf):
@@ -101,6 +130,19 @@ def test_tree_utilities(expr_cnf):
         d.validate_tree(expr_cnf, bad)
 
 
+def test_deep_tree_needs_no_recursion():
+    g = d.parse_grammar("start: S\nS -> A B\nB -> A B | 'b'\nA -> 'a'")
+    tree = ("B", ("b",))
+    bad = ("B", ("c",))
+    for _ in range(1500):
+        tree = ("B", (("A", ("a",)), tree))
+        bad = ("B", (("A", ("a",)), bad))
+    d.validate_tree(g, ("S", (("A", ("a",)), tree)))
+    assert d.tree_yield(tree) == "a" * 1500 + "b"
+    with pytest.raises(d.GrammarError, match="B -> c"):
+        d.validate_tree(g, ("S", (("A", ("a",)), bad)))
+
+
 def test_leftmost_derivation_replays(expr_cnf):
     tree = d.extract_tree(expr_cnf, "a*a+a")
     steps = d.leftmost_derivation(expr_cnf, tree)
@@ -138,3 +180,69 @@ def test_isomorphism_rejects_different_language(expr_cnf, expr_dyck_expected):
     g1 = d.parse_grammar("start: S\nS -> 'a'")
     g2 = d.parse_grammar("start: S\nS -> 'b'")
     assert d.find_isomorphism(g1, g2) is None
+
+
+# ---- cached indexes ----
+
+def _scan_table(g, w):
+    """CYK that scans every rule for every cell and split point."""
+    n = len(w)
+    table = {(i, i): {r.lhs for r in g.rules if r.rhs == (w[i - 1],)}
+             for i in range(1, n + 1)}
+    for span in range(2, n + 1):
+        for i in range(1, n - span + 2):
+            j = i + span - 1
+            table[(i, j)] = {
+                r.lhs for r in g.rules for l in range(i, j)
+                if len(r.rhs) == 2 and r.rhs[0] in table[(i, l)]
+                and r.rhs[1] in table[(l + 1, j)]}
+    return table
+
+
+def _scan_pairing(g):
+    pairs = []
+    for r in g.rules:
+        if len(r.rhs) == 2 and r.rhs not in pairs:
+            pairs.append(r.rhs)
+    return pairs
+
+
+def test_indexes_match_list_scans(dyck_corpus):
+    for k, (g_cnf, gd, _) in enumerate(dyck_corpus):
+        for g in (g_cnf, gd):
+            for nt in g.nonterminals + ["Nowhere"]:
+                assert g.rules_for(nt) == [r for r in g.rules if r.lhs == nt]
+            for r in g.rules:
+                assert g.has_rule(r)
+                for other in (d.Rule(r.lhs, r.rhs[::-1]),
+                              d.Rule(g.start, r.rhs)):
+                    assert g.has_rule(other) == (other in g.rules)
+            for w in random_words(g.terminals, 6, 12, seed=k):
+                assert d.build_table(g, w) == _scan_table(g, w)
+        assert d.pairing_of(gd) == _scan_pairing(gd)
+
+
+def test_grammar_ignores_later_changes_to_its_inputs():
+    nts, ts = ["S", "A", "B"], ["a", "b"]
+    rules = [d.Rule("S", ("A", "B")), d.Rule("A", ("a",)),
+             d.Rule("B", ("b",))]
+    copy = d.Grammar(list(nts), list(ts), "S", list(rules))
+    lazy = d.Grammar(nts, ts, "S", rules)
+    warm = d.Grammar(nts, ts, "S", rules)
+    assert warm.rules_for("A") == [d.Rule("A", ("a",))]
+    assert d.member(warm, "ab") and d.pairing_of(warm) == [("A", "B")]
+
+    nts.append("C")
+    ts.append("c")
+    rules[1] = d.Rule("A", ("c",))
+    rules.append(d.Rule("S", ("B", "A")))
+    for g in (lazy, warm):
+        assert g == copy
+        assert g.rules_for("A") == [d.Rule("A", ("a",))]
+        assert not g.has_rule(d.Rule("A", ("c",)))
+        assert d.member(g, "ab") and not d.member(g, "cb")
+        assert d.dyck_nf_violations(g) == []
+        pairs = d.pairing_of(g)
+        assert pairs == [("A", "B")]
+        pairs.append(("B", "A"))
+        assert d.pairing_of(g) == [("A", "B")]
