@@ -4,6 +4,10 @@ Cells are exposed 1-based, V[i][j] covering w_i..w_j inclusive, because
 matched-pair positions elsewhere in the package are 1-based and keeping the
 two conventions aligned prevents a whole class of off-by-one bugs.
 
+extract_tree, all_trees and count_trees read a word's one parse forest
+through one bottom-up evaluation (_evaluate) over an explicit stack, so
+long words and deep trees never meet the recursion limit.
+
 extract_tree is deterministic on purpose: ambiguous words always yield the
 same canonical tree (smallest split point, then first applicable rule in
 declaration order), so golden tests can pin exact derivations.
@@ -49,11 +53,16 @@ def build_table(g, w):
 
 def member(g, w):
     """Does g derive w?  The empty word is never a member here."""
-    if not w:
-        return False
-    if any(not g.is_terminal(ch) for ch in w):
-        return False
-    return g.start in build_table(g, w)[(1, len(w))]
+    return _parse_table(g, w) is not None
+
+
+def _parse_table(g, w, table=None):
+    """The table of w when g derives it, else None."""
+    if not w or any(not g.is_terminal(ch) for ch in w):
+        return None
+    if table is None:
+        table = build_table(g, w)
+    return table if g.start in table[(1, len(w))] else None
 
 
 def extract_tree(g, w, table=None):
@@ -62,28 +71,18 @@ def extract_tree(g, w, table=None):
     Ties break on the smallest split point first, then on rule declaration
     order, so repeated calls (and golden tests) always agree.
     """
-    if not w or any(not g.is_terminal(ch) for ch in w):
-        raise NotAMemberError(f"{w!r} is not in the language")
+    table = _parse_table(g, w, table)
     if table is None:
-        table = build_table(g, w)
-    n = len(w)
-    if g.start not in table[(1, n)]:
         raise NotAMemberError(f"{w!r} is not in the language")
-    heads = g._heads
 
-    def build(a, i, j):
-        if i == j:
-            return (a, (w[i - 1],))
-        for l in range(i, j):
-            for r in heads[a]:
-                if (len(r.rhs) == 2 and r.rhs[0] in table[(i, l)]
-                        and r.rhs[1] in table[(l + 1, j)]):
-                    return (a, (build(r.rhs[0], i, l),
-                                build(r.rhs[1], l + 1, j)))
-        raise AssertionError(
-            f"table says {a} spans {i}..{j} but no rule reconstructs it")
+    def node(a, i, j, pairs):
+        if not pairs:
+            raise AssertionError(
+                f"table says {a} spans {i}..{j} but no rule reconstructs it")
+        return (a, pairs[0])
 
-    return build(g.start, 1, n)
+    return _evaluate(g, w, table, lambda a, i: (a, (w[i - 1],)), node,
+                     first=True)
 
 
 def all_trees(g, w, cap=DEFAULT_TREE_CAP):
@@ -93,65 +92,76 @@ def all_trees(g, w, cap=DEFAULT_TREE_CAP):
     tuples), with a cap on the total number of stored subtrees so that a
     pathologically ambiguous grammar fails loudly instead of hanging.
     """
-    if not w or any(not g.is_terminal(ch) for ch in w):
+    table = _parse_table(g, w)
+    if table is None:
         return []
-    table = build_table(g, w)
-    n = len(w)
-    if g.start not in table[(1, n)]:
-        return []
-    heads = g._heads
-    memo = {}
-    count = [0]
+    stored = 0
 
-    def trees(a, i, j):
-        key = (a, i, j)
-        if key in memo:
-            return memo[key]
-        found = []
-        if i == j and a in table[(i, i)]:
-            found.append((a, (w[i - 1],)))
-        for l in range(i, j):
-            for r in heads[a]:
-                if (len(r.rhs) == 2 and r.rhs[0] in table[(i, l)]
-                        and r.rhs[1] in table[(l + 1, j)]):
-                    for left in trees(r.rhs[0], i, l):
-                        for right in trees(r.rhs[1], l + 1, j):
-                            found.append((a, (left, right)))
-        count[0] += len(found)
-        if count[0] > cap:
+    def keep(found):
+        nonlocal stored
+        stored += len(found)
+        if stored > cap:
             raise ResourceLimitError(
                 f"more than {cap} parse subtrees for {w!r}")
-        memo[key] = found
         return found
 
-    return trees(g.start, 1, n)
+    return _evaluate(
+        g, w, table, lambda a, i: keep([(a, (w[i - 1],))]),
+        lambda a, i, j, pairs: keep([(a, (left, right))
+                                     for lefts, rights in pairs
+                                     for left in lefts for right in rights]))
 
 
 def count_trees(g, w):
     """Number of distinct parse trees of w, without materializing them."""
-    if not w or any(not g.is_terminal(ch) for ch in w):
+    table = _parse_table(g, w)
+    if table is None:
         return 0
-    table = build_table(g, w)
-    n = len(w)
-    heads = g._heads
-    memo = {}
+    return _evaluate(g, w, table, lambda a, i: 1,
+                     lambda a, i, j, pairs: sum(l * r for l, r in pairs))
 
-    def count(a, i, j):
-        key = (a, i, j)
-        if key in memo:
-            return memo[key]
-        total = 0
-        if i == j and a in table[(i, i)]:
-            total += 1
-        for l in range(i, j):
-            for r in heads.get(a, ()):
-                if (len(r.rhs) == 2 and r.rhs[0] in table[(i, l)]
-                        and r.rhs[1] in table[(l + 1, j)]):
-                    total += count(r.rhs[0], i, l) * count(r.rhs[1], l + 1, j)
-        memo[key] = total
-        return total
 
-    return count(g.start, 1, n)
+def _evaluate(g, w, table, leaf, node, first=False):
+    """The value of w's parse forest: nodes (a, i, j), "a derives w_i..w_j".
+
+    A node over one letter is worth leaf(a, i), a longer one node(a, i, j,
+    pairs), pairs being the (left, right) values of its alternatives in
+    canonical order; first=True reads only the first alternative.
+    """
+    values = {}
+    alternatives = {}
+    stack = [(g.start, 1, len(w))]
+    while stack:
+        key = stack.pop()
+        if key in values:
+            continue
+        a, i, j = key
+        if i == j:
+            values[key] = leaf(a, i)
+        elif key in alternatives:
+            alts = alternatives.pop(key)
+            values[key] = node(a, i, j,
+                               [(values[b], values[c]) for b, c in alts])
+        else:
+            alts = alternatives[key] = _alternatives(
+                g._heads.get(a, ()), table, i, j, first)
+            stack.append(key)  # comes back once its children have values
+            for b, c in reversed(alts):
+                stack += c, b
+    return values[(g.start, 1, len(w))]
+
+
+def _alternatives(rules, table, i, j, first):
+    """(left, right) children over w_i..w_j: by split point, then rule."""
+    found = []
+    for l in range(i, j):
+        left, right = table[(i, l)], table[(l + 1, j)]
+        for r in rules:
+            if len(r.rhs) == 2 and r.rhs[0] in left and r.rhs[1] in right:
+                found.append(((r.rhs[0], i, l), (r.rhs[1], l + 1, j)))
+                if first:
+                    return found
+    return found
 
 
 def format_table(g, w, table=None):

@@ -131,12 +131,7 @@ def in_dk_lemma(word, k=None):
     elif any(abs(x) > k for x in word):
         raise ValueError(f"word mentions a pair beyond k={k}")
 
-    depth = 0
-    for x in word:
-        depth += 1 if x > 0 else -1
-        if depth < 0:
-            return False
-    if depth != 0:
+    if not is_balanced(word):
         return False
 
     # one fused left-to-right sweep per start position finds every matched
@@ -170,14 +165,7 @@ def in_dk_lemma(word, k=None):
 def matched(word, i, j):
     """Do positions i..j hold a matched stretch (index-blind balanced)?"""
     _check_word(word)
-    if not (1 <= i < j <= len(word)):
-        return False
-    depth = 0
-    for x in word[i - 1:j]:
-        depth += 1 if x > 0 else -1
-        if depth < 0:
-            return False
-    return depth == 0
+    return 1 <= i < j <= len(word) and is_balanced(word[i - 1:j])
 
 
 def nested(word, i, j):
@@ -204,15 +192,12 @@ def trace_word(g, tree):
     """
     validate_tree(g, tree)
     internal = []
-
-    def walk(node):
-        if isinstance(node, str):
-            return
-        internal.append(node[0])
-        for c in node[1]:
-            walk(c)
-
-    walk(tree)
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, str):
+            internal.append(node[0])
+            stack.extend(reversed(node[1]))
     if len(internal) < 3:
         raise TraceUndefinedError(
             f"derivation has {len(internal)} step(s); traces need at least 3")
@@ -234,23 +219,31 @@ def trace_from_rewriting(g, tree):
     return tuple(r.lhs for r in steps[1:])
 
 
+def pair_code(pairs):
+    """Name -> signed pair index: pair k of `pairs` is written +k / -k."""
+    code = {}
+    for k, (left, right) in enumerate(pairs, start=1):
+        code[left] = k
+        code[right] = -k
+    return code
+
+
+def encode_trace(code, trace):
+    """A trace as a bracket word, each name looked up in a pair_code map."""
+    try:
+        return tuple(code[name] for name in trace)
+    except KeyError as e:
+        raise GrammarError(
+            f"trace letter {e.args[0]} is not a paired bracket") from None
+
+
 def trace_as_brackets(g, trace):
     """Encode a trace over a Dyck normal form grammar as a bracket word.
 
     Pair numbering is the canonical one from pairing_of: pair k of that list
     is written +k / -k.
     """
-    pairs = pairing_of(g)
-    code = {}
-    for k, (left, right) in enumerate(pairs, start=1):
-        code[left] = k
-        code[right] = -k
-    word = []
-    for name in trace:
-        if name not in code:
-            raise GrammarError(f"trace letter {name} is not a paired bracket")
-        word.append(code[name])
-    return tuple(word)
+    return encode_trace(pair_code(pairing_of(g)), trace)
 
 
 def trace_language(g, max_word_len, tree_cap=DEFAULT_TREE_CAP,

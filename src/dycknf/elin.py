@@ -37,7 +37,8 @@ from .grammar import (
     pairing_of,
     validate,
 )
-from .normal_forms import cleanup, to_dyck_nf, with_fresh_start
+from .normal_forms import (cleanup, collapse_units, to_dyck_nf,
+                           with_fresh_start)
 from .phi import build_phi, partition_nonterminals
 
 
@@ -59,28 +60,6 @@ def is_even_linear(g):
 
 
 # ---- conversion pipeline ----
-
-def _collapse_units(g):
-    """Replace unit rules (a lone nonterminal body) by their targets' rules."""
-    out = []
-    seen = set()
-    for nt in g.nonterminals:
-        targets = [nt]
-        for cur in targets:
-            for r in g.rules_for(cur):
-                if (len(r.rhs) == 1 and g.is_nonterminal(r.rhs[0])
-                        and r.rhs[0] not in targets):
-                    targets.append(r.rhs[0])
-        for tgt in targets:
-            for r in g.rules_for(tgt):
-                if len(r.rhs) == 1 and g.is_nonterminal(r.rhs[0]):
-                    continue
-                cand = Rule(nt, r.rhs)
-                if cand not in seen:
-                    seen.add(cand)
-                    out.append(cand)
-    return Grammar(g.nonterminals, g.terminals, g.start, out)
-
 
 def _split_flanks(g):
     """Cut flanks down to single letters: X -> a Y b, X -> a b or X -> a.
@@ -173,7 +152,7 @@ def elin_to_dyck_nf(g):
                            "nonterminal per body, flanks of equal length)")
     g = cleanup(g)
     g = with_fresh_start(g)
-    g = _collapse_units(g)
+    g = collapse_units(g)
     g = cleanup(g)
     g = _split_flanks(g)
     g = _binarize_steps(g)

@@ -479,38 +479,34 @@ def _validate_node(g, node):
 def leftmost_derivation(g, tree):
     """The leftmost derivation a parse tree encodes, as a list of Rules.
 
-    Simulates actual sentential-form rewriting: keep the current form as a
-    mixed list of terminals and pending subtrees, always expand the leftmost
-    pending nonterminal.  (The result is the preorder rule sequence, but we
-    run the rewriting for real so tests can compare it against independent
-    tree walks.)
+    Simulates actual sentential-form rewriting (see _rewrite).  The result
+    is the preorder rule sequence, but the rewriting runs for real so tests
+    can compare it against independent tree walks.
     """
-    validate_tree(g, tree)
-    steps = []
-    form = [tree]
-    while True:
-        idx = next((i for i, x in enumerate(form) if isinstance(x, tuple)),
-                   None)
-        if idx is None:
-            return steps
-        label, children = form[idx]
-        steps.append(Rule(label, tuple(tree_label(c) for c in children)))
-        form[idx:idx + 1] = list(children)
+    return [Rule(label, tuple(tree_label(c) for c in children))
+            for (label, children), _ in _rewrite(g, tree)]
 
 
 def derivation_forms(g, tree):
     """Sentential forms of the leftmost derivation, starting at (start,)."""
+    forms = [tuple(tree_label(x) for x in form)
+             for _, form in _rewrite(g, tree)]
+    return [(tree_label(tree),)] + forms
+
+
+def _rewrite(g, tree):
+    """Expand the leftmost pending subtree of the form (terminals and
+    subtrees) until none is left; yield each one with the form after it."""
     validate_tree(g, tree)
     form = [tree]
-    forms = [(tree_label(tree),)]
     while True:
         idx = next((i for i, x in enumerate(form) if isinstance(x, tuple)),
                    None)
         if idx is None:
-            return forms
-        _, children = form[idx]
-        form[idx:idx + 1] = list(children)
-        forms.append(tuple(tree_label(x) for x in form))
+            return
+        node = form[idx]
+        form[idx:idx + 1] = list(node[1])
+        yield node, form
 
 
 # ---- fresh names and isomorphism ----

@@ -104,6 +104,37 @@ def with_fresh_start(g):
     return Grammar([s0] + g.nonterminals, g.terminals, s0, rules + g.rules)
 
 
+def collapse_units(g):
+    """Replace unit rules (a lone nonterminal body) by their targets' rules.
+
+    The other rules keep their order; after them, each nonterminal in
+    declaration order gets the rules of the nonterminals its unit rules
+    reach, transitively and breadth first, unless it has them already.
+    """
+    heads = g._heads
+
+    def is_unit(r):
+        return len(r.rhs) == 1 and g.is_nonterminal(r.rhs[0])
+
+    rules = [r for r in g.rules if not is_unit(r)]
+    seen = set(rules)
+    for nt in g.nonterminals:
+        targets = [nt]
+        for cur in targets:
+            for r in heads.get(cur, ()):
+                if is_unit(r) and r.rhs[0] not in targets:
+                    targets.append(r.rhs[0])
+        for tgt in targets[1:]:
+            for r in heads.get(tgt, ()):
+                if is_unit(r):
+                    continue
+                cand = Rule(nt, r.rhs)
+                if cand not in seen:
+                    seen.add(cand)
+                    rules.append(cand)
+    return Grammar(g.nonterminals, g.terminals, g.start, rules)
+
+
 # ---- Chomsky normal form ----
 
 def to_cnf(g):
@@ -160,37 +191,8 @@ def to_cnf(g):
         out.append(Rule(lhs, tuple(body)))
     rules = out
 
-    # unit rules collapse transitively
-    unit_targets = {}
-    for nt in nts:
-        seen = [nt]
-        queue = [nt]
-        while queue:
-            cur = queue.pop(0)
-            for r in rules:
-                if (r.lhs == cur and len(r.rhs) == 1
-                        and not g.is_terminal(r.rhs[0])
-                        and r.rhs[0] not in seen):
-                    seen.append(r.rhs[0])
-                    queue.append(r.rhs[0])
-        unit_targets[nt] = seen
-    final = [r for r in rules
-             if not (len(r.rhs) == 1 and not g.is_terminal(r.rhs[0]))]
-    in_final = set(final)
-    for nt in nts:
-        for tgt in unit_targets[nt]:
-            if tgt == nt:
-                continue
-            for r in rules:
-                if (r.lhs == tgt
-                        and not (len(r.rhs) == 1
-                                 and not g.is_terminal(r.rhs[0]))):
-                    cand = Rule(nt, r.rhs)
-                    if cand not in in_final:
-                        in_final.add(cand)
-                        final.append(cand)
-
-    result = cleanup(Grammar(nts, g.terminals, g.start, final))
+    result = cleanup(collapse_units(Grammar(nts, g.terminals, g.start,
+                                            rules)))
     if not is_cnf(result):
         raise AssertionError("CNF conversion postcondition failed")
     return result
@@ -471,10 +473,20 @@ def map_tree(tree, hd, g_cnf):
 
 
 def _relabel(tree, hd):
-    if isinstance(tree, str):
-        return tree
-    label, children = tree
-    return (hd[label], tuple(_relabel(c, hd) for c in children))
+    # postorder over an explicit stack, so deep trees cannot exhaust recursion
+    done = []
+    stack = [(tree, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if isinstance(node, str):
+            done.append(node)
+        elif expanded:
+            at = len(done) - len(node[1])
+            done[at:] = [(hd[node[0]], tuple(done[at:]))]
+        else:
+            stack.append((node, True))
+            stack.extend((c, False) for c in reversed(node[1]))
+    return done[0]
 
 
 # ---- cell-by-cell table equivalence ----

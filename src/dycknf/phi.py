@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .dyck import in_dk_stack, render_dyck_word, trace_language
+from .dyck import (encode_trace, in_dk_stack, pair_code, render_dyck_word,
+                   trace_language)
 from .enumeration import DEFAULT_WORD_CAP, enumerate_words
 from .grammar import (
     Grammar,
@@ -153,11 +154,7 @@ def apply_phi(phi, trace):
 
 def bracket_code(ext):
     """Name -> signed pair index for the full (extended) pairing."""
-    code = {}
-    for k, (left, right) in enumerate(ext.pairs, start=1):
-        code[left] = k
-        code[right] = -k
-    return code
+    return pair_code(ext.pairs)
 
 
 # ---- the desk-scale verification ----
@@ -223,10 +220,11 @@ def verify_characterization(g, max_len, word_cap=DEFAULT_WORD_CAP,
     extra = []
     not_dyck = []
     for tr in sorted(dprime, key=lambda t: (len(t), t)):
-        text = render_dyck_word([code[name] for name in tr])
+        word = encode_trace(code, tr)
+        text = render_dyck_word(word)
         if apply_phi(phi, tr) not in words:
             extra.append((text, apply_phi(phi, tr)))
-        if not in_dk_stack([code[name] for name in tr], k=ext.k_total):
+        if not in_dk_stack(word, k=ext.k_total):
             not_dyck.append(text)
 
     return CharacterizationReport(

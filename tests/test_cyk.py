@@ -6,7 +6,10 @@ language, so they get held against each other here.
 
 from __future__ import annotations
 
+import gc
+import inspect
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -56,15 +59,55 @@ def test_extract_tree_is_canonical_and_valid(expr_cnf):
         d.extract_tree(expr_cnf, "aa")
 
 
-def test_all_trees_match_count(expr_cnf):
-    for w in d.enumerate_words(expr_cnf, 7):
-        trees = d.all_trees(expr_cnf, w)
-        assert len(trees) == d.count_trees(expr_cnf, w)
-        assert len(set(trees)) == len(trees)
-        for t in trees:
-            d.validate_tree(expr_cnf, t)
-            assert d.tree_yield(t) == w
-        assert d.extract_tree(expr_cnf, w) in trees
+def test_all_trees_match_count(expr_cnf, cnf_corpus, dyck_corpus):
+    # every word of expr_cnf has one tree; the corpora hold ambiguous words
+    cases = ([(expr_cnf, 7)] + [(g, 6) for g in cnf_corpus[1:]]
+             + [(gd, 6) for _, gd, _ in dyck_corpus])
+    for g, max_len in cases:
+        for w in d.enumerate_words(g, max_len):
+            trees = d.all_trees(g, w)
+            assert len(trees) == d.count_trees(g, w)
+            assert len(set(trees)) == len(trees)
+            for t in trees:
+                d.validate_tree(g, t)
+                assert d.tree_yield(t) == w
+            assert trees[0] == d.extract_tree(g, w)
+
+
+def test_walkers_leave_no_reference_cycles(expr_converted):
+    gd, _ = expr_converted
+    w = "a" + "+a" * 16
+    for walk in (d.extract_tree, d.all_trees, d.count_trees):
+        gc.collect()
+        gc.disable()
+        try:
+            walk(gd, w)
+            assert gc.collect() == 0, walk.__name__
+        finally:
+            gc.enable()
+
+
+def test_deep_trees_and_long_words_need_no_recursion():
+    g = d.parse_grammar("start: S\nS -> A B\nB -> A B | 'b'\nA -> 'a'")
+    # the same grammar under other names, collapsed back by hd
+    g2 = d.parse_grammar("start: S\nS -> X Y\nY -> X Y | 'b'\nX -> 'a'")
+    hd = {"S": "S", "X": "A", "Y": "B"}
+    tree = ("Y", ("b",))
+    for _ in range(1499):
+        tree = ("Y", (("X", ("a",)), tree))
+    tree = ("S", (("X", ("a",)), tree))
+    w = "a" * 200 + "b"
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        assert d.trace_word(g2, tree) == ("X", "Y") * 1500
+        mapped = d.map_tree(tree, hd, g)
+        assert d.trace_word(g, mapped) == ("A", "B") * 1500
+        assert d.tree_yield(mapped) == "a" * 1500 + "b"
+        assert d.tree_yield(d.extract_tree(g, w)) == w
+        assert len(d.all_trees(g, w)) == 1 == d.count_trees(g, w)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_ambiguous_grammar_counts_every_tree():
