@@ -12,6 +12,7 @@ to read the grammar from stdin, which lets verbs chain:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -189,6 +190,7 @@ def _cmd_verify_equiv(args):
 
 # ---- wiring ----
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="dycknf",

@@ -4,6 +4,12 @@ Cells are exposed 1-based, V[i][j] covering w_i..w_j inclusive, because
 matched-pair positions elsewhere in the package are 1-based and keeping the
 two conventions aligned prevents a whole class of off-by-one bugs.
 
+build_table works on bitsets: while the table is built, a cell is one int
+mask over the grammar's nonterminals, and a left cell is combined with a
+right one by one bit test per right partner of each of its symbols (one
+partner per symbol in Dyck normal form).  The table it returns still maps
+each (i, j) to a set of nonterminal names.
+
 extract_tree, all_trees and count_trees read a word's one parse forest
 through one bottom-up evaluation (_evaluate) over an explicit stack, so
 long words and deep trees never meet the recursion limit.
@@ -25,30 +31,61 @@ class NotAMemberError(ValueError):
 
 
 def build_table(g, w):
-    """The recognition table as {(i, j): set of nonterminals}, 1-based."""
-    if g._cnf_index is None:
+    """The recognition table as {(i, j): set of nonterminals}, 1-based.
+
+    Masks are indexed by Grammar._cnf_index.  Each row keeps the list of
+    its nonempty cells, so a split whose left cell is empty costs nothing.
+    """
+    index = g._cnf_index
+    if index is None:
         raise GrammarError("CYK needs a grammar in Chomsky normal form")
-    by_terminal, by_pair = g._cnf_index
+    names, by_terminal, by_left = index
     n = len(w)
-    cells = {}
-    for i in range(1, n + 1):
-        cells[(i, i)] = set(by_terminal.get(w[i - 1], ()))
-    for span in range(2, n + 1):
-        for i in range(1, n - span + 2):
-            j = i + span - 1
-            acc = set()
-            for l in range(i, j):
-                left = cells[(i, l)]
-                right = cells[(l + 1, j)]
-                if not left or not right:
+    rows = [[0] * n for _ in range(n)]  # rows[i][j]: the mask of w[i..j]
+    filled = [[] for _ in range(n)]  # filled[i]: (l + 1, rows[i][l]) if != 0
+    for i, ch in enumerate(w):
+        mask = rows[i][i] = by_terminal.get(ch, 0)
+        if mask:
+            filled[i].append((i + 1, mask))
+    for span in range(1, n):
+        for i in range(n - span):
+            j = i + span
+            acc = 0
+            for k, left in filled[i]:
+                right = rows[k][j]
+                if not right:
                     continue
-                for b in left:
-                    for c in right:
-                        heads = by_pair.get((b, c))
-                        if heads:
-                            acc.update(heads)
-            cells[(i, j)] = acc
-    return cells
+                while left:
+                    low = left & -left
+                    left ^= low
+                    for partner, heads in by_left.get(low, ()):
+                        if right & partner:
+                            acc |= heads
+            if acc:
+                rows[i][j] = acc
+                filled[i].append((j + 1, acc))
+    table = {}
+    decoded = {}
+    for i, row in enumerate(rows, 1):
+        for j in range(i, n + 1):
+            mask = row[j - 1]
+            if not mask:
+                table[(i, j)] = set()
+                continue
+            if mask not in decoded:
+                decoded[mask] = _names(names, mask)
+            table[(i, j)] = set(decoded[mask])
+    return table
+
+
+def _names(names, mask):
+    """The nonterminals whose bits are set in mask."""
+    found = []
+    while mask:
+        low = mask & -mask
+        found.append(names[low.bit_length() - 1])
+        mask ^= low
+    return tuple(found)
 
 
 def member(g, w):

@@ -71,9 +71,12 @@ class Grammar:
 
       * `_heads`: head -> tuple of its rules in declaration order
         (rules_for, has_rule, validate_tree and the CYK tree walks);
-      * `_cnf_index`: the CYK maps terminal -> heads and body -> heads, or
-        None when the grammar is not in Chomsky normal form (is_cnf and
-        cyk.build_table);
+      * `_cnf_index`: None when the grammar is not in Chomsky normal form
+        (is_cnf), else the bitsets cyk.build_table reads: the nonterminals
+        in declaration order (bit k stands for the k-th), terminal -> mask
+        of the heads of its terminal rules, and left-child bit -> tuple of
+        (right-partner mask, mask of the heads of that body), one entry per
+        right partner, so exactly one per left symbol in Dyck normal form;
       * `_dyck_check`: the Dyck normal form violations, and the canonical
         pairing when there are none (dyck_nf_violations and pairing_of).
     """
@@ -95,16 +98,27 @@ class Grammar:
 
     @cached_property
     def _cnf_index(self):
+        # _is_cnf_rule's test, inlined: the member verb builds this index
+        # once per grammar it parses, and those reach ~1,000 rules
+        names = tuple(self.nonterminals)
+        bit = {a: 1 << k for k, a in enumerate(names)}
         by_terminal = {}
-        by_pair = {}
+        by_body = {}
         for r in self.rules:
-            if not _is_cnf_rule(self, r):
+            head = bit.get(r.lhs)
+            rhs = r.rhs
+            if head is None:
                 return None
-            if len(r.rhs) == 1:
-                by_terminal.setdefault(r.rhs[0], []).append(r.lhs)
+            if len(rhs) == 1 and rhs[0] in self._t_set:
+                by_terminal[rhs[0]] = by_terminal.get(rhs[0], 0) | head
+            elif len(rhs) == 2 and rhs[0] in bit and rhs[1] in bit:
+                by_body[rhs] = by_body.get(rhs, 0) | head
             else:
-                by_pair.setdefault(r.rhs, []).append(r.lhs)
-        return by_terminal, by_pair
+                return None
+        by_left = {}
+        for (b, c), heads in by_body.items():
+            by_left.setdefault(bit[b], []).append((bit[c], heads))
+        return names, by_terminal, {b: tuple(p) for b, p in by_left.items()}
 
     @cached_property
     def _dyck_check(self):
@@ -345,9 +359,10 @@ def is_cnf(g):
 
 
 def _is_cnf_rule(g, r):
-    return (len(r.rhs) == 1 and g.is_terminal(r.rhs[0])
-            or len(r.rhs) == 2 and g.is_nonterminal(r.rhs[0])
-            and g.is_nonterminal(r.rhs[1]))
+    return g.is_nonterminal(r.lhs) and (
+        len(r.rhs) == 1 and g.is_terminal(r.rhs[0])
+        or len(r.rhs) == 2 and g.is_nonterminal(r.rhs[0])
+        and g.is_nonterminal(r.rhs[1]))
 
 
 def dyck_nf_violations(g):

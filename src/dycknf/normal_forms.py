@@ -493,30 +493,29 @@ def _relabel(tree, hd):
 
 def _closures(ledger):
     """Descendant sets over the ledger: all stand-in chains, and the chains
-    that use only rule-inheriting (nonterminal-kind) substitutions."""
-    kids_any = {}
-    kids_nt = {}
-    for s in ledger:
-        kids_any.setdefault(s.original, []).append(s.fresh)
+    that use only rule-inheriting (nonterminal-kind) substitutions.
+
+    One pass over the ledger in reverse: to_dyck_nf records a stand-in
+    before any stand-in for it, so a fresh symbol's own sets are complete
+    when its entry is reached.
+    """
+    desc_any = {}
+    desc_nt = {}
+    done = set()
+    for s in reversed(ledger):
+        if s.original in done:
+            raise GrammarError(
+                f"ledger lists a stand-in for {s.original} before "
+                f"{s.original} itself")
+        done.add(s.fresh)
+        below = desc_any.setdefault(s.original, set())
+        below.add(s.fresh)
+        below.update(desc_any.get(s.fresh, ()))
         if s.kind == "nonterminal":
-            kids_nt.setdefault(s.original, []).append(s.fresh)
-
-    def close(kids):
-        memo = {}
-
-        def descend(x):
-            if x in memo:
-                return memo[x]
-            acc = set()
-            for k in kids.get(x, ()):
-                acc.add(k)
-                acc |= descend(k)
-            memo[x] = acc
-            return acc
-
-        return descend
-
-    return close(kids_any), close(kids_nt)
+            below = desc_nt.setdefault(s.original, set())
+            below.add(s.fresh)
+            below.update(desc_nt.get(s.fresh, ()))
+    return desc_any, desc_nt
 
 
 def verify_equivalence_matrices(g_cnf, g_dyck, ledger, w):
@@ -542,7 +541,7 @@ def verify_equivalence_matrices(g_cnf, g_dyck, ledger, w):
         letter = w[i - 1]
         expected = set()
         for x in v[(i, i)]:
-            for y in {x} | desc_any(x):
+            for y in {x} | desc_any.get(x, set()):
                 if (y, letter) in has_terminal_rule:
                     expected.add(y)
         if expected != vd[(i, i)]:
@@ -552,7 +551,7 @@ def verify_equivalence_matrices(g_cnf, g_dyck, ledger, w):
             expected = set()
             for x in v[(i, j)]:
                 expected.add(x)
-                expected |= desc_nt(x)
+                expected |= desc_nt.get(x, set())
             if expected != vd[(i, j)]:
                 mismatches.append((i, j, sorted(expected),
                                    sorted(vd[(i, j)])))

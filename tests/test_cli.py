@@ -155,3 +155,31 @@ def test_console_script_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "member"
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys):
+    # main reuses one parser per process: no call may see an earlier one's
+    # arguments, defaults or errors
+    calls = [
+        ("verify-phi", EXPR_CNF, "--max-len", "4"),
+        ("verify-phi", EXPR_CNF),
+        ("member", EXPR, "a*a+a", "--machine"),
+        ("trace", EXPR_CNF, "a*a*a+a"),
+        ("frobnicate", "x"),
+        ("check-dyck", "[1 [2 ]2 ]1", "-k", "2"),
+        ("member", EXPR),
+        ("cnf", EXPR),
+    ]
+    codes = []
+    for argv in calls:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        codes.append(code)
+        out, err = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "dycknf.cli", *argv],
+                               capture_output=True, text=True)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout,
+                                    fresh.stderr), argv
+    assert codes == [0, 0, 0, 0, 2, 0, 2, 0]

@@ -207,7 +207,33 @@ def _scan_pairing(g):
     return pairs
 
 
+def _wide_cnf(m=80):
+    """A clean CNF grammar of m nonterminals: the CYK masks pass 64 bits."""
+    lines = ["start: N0"]
+    for k in range(m):
+        lines.append(f"N{k} -> N{(k + 1) % m} N{(7 * k + 3) % m} | "
+                     f"{'ab'[k % 2]!r}")
+    return d.parse_grammar("\n".join(lines))
+
+
+# CNF but not Dyck normal form: A has the right partners B and C, and the
+# body A B has the heads S, A and C
+SHARED_BODIES = """
+start: S
+S -> A B | A C | B A
+A -> A B | 'a'
+B -> A C | B A | 'b'
+C -> A B | 'c'
+"""
+
+
 def test_indexes_match_list_scans(dyck_corpus):
+    wide, shared = _wide_cnf(), d.parse_grammar(SHARED_BODIES)
+    assert d.cleanup(wide) == wide and len(wide.nonterminals) > 64
+    assert d.is_cnf(shared) and not d.is_dyck_nf(shared)
+    for k, g in enumerate((wide, shared)):
+        for w in random_words(g.terminals, 12, 30, seed=k):
+            assert d.build_table(g, w) == _scan_table(g, w)
     for k, (g_cnf, gd, _) in enumerate(dyck_corpus):
         for g in (g_cnf, gd):
             for nt in g.nonterminals + ["Nowhere"]:

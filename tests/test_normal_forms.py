@@ -4,6 +4,10 @@ known-good expected output; the random corpus covers the rest."""
 
 from __future__ import annotations
 
+import gc
+import inspect
+import sys
+
 import pytest
 
 import dycknf as d
@@ -161,3 +165,39 @@ def test_equivalence_matrices_on_golden(expr_cnf, expr_converted):
     probes = d.enumerate_words(expr_cnf, 6) + ["aa", "+a", "a*", "a+*a"]
     for w in probes:
         assert d.verify_equivalence_matrices(expr_cnf, gd, ledger, w) == []
+
+
+def test_equivalence_matrices_leave_no_reference_cycles(expr_cnf,
+                                                        expr_converted):
+    gd, ledger = expr_converted
+    gc.collect()
+    gc.disable()
+    try:
+        assert d.verify_equivalence_matrices(expr_cnf, gd, ledger,
+                                             "a+a*a") == []
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_equivalence_matrices_follow_ledger_chains_past_recursion_limit():
+    # X1 stands in for S, X2 for X1, ...; each inherits S -> S S
+    m = 1500
+    fresh = [f"X{k}" for k in range(1, m + 1)]
+    ledger = [d.Substitution(x, orig, "nonterminal", 2)
+              for x, orig in zip(fresh, ["S"] + fresh)]
+    g = d.parse_grammar("start: S\nS -> S S | 'a'")
+    inherited = [d.Rule(x, ("S", "S")) for x in fresh]
+    gd = d.Grammar(["S"] + fresh, ["a"], "S", g.rules + inherited)
+    short = d.Grammar(gd.nonterminals, ["a"], "S", gd.rules[:-1])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        assert d.verify_equivalence_matrices(g, gd, ledger, "aa") == []
+        (i, j, expected, actual), = d.verify_equivalence_matrices(
+            g, short, ledger, "aa")
+        assert (i, j) == (1, 2) and set(expected) - set(actual) == {fresh[-1]}
+    finally:
+        sys.setrecursionlimit(limit)
+    with pytest.raises(d.GrammarError):
+        d.verify_equivalence_matrices(g, gd, ledger[::-1], "aa")
