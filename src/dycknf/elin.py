@@ -43,7 +43,7 @@ from .phi import build_phi, partition_nonterminals
 
 
 class PipelineShapeError(GrammarError):
-    """The even linear pipeline's output broke its shape guarantee."""
+    """A grammar lacks the shape the even linear pipeline guarantees."""
 
 
 # ---- the even linear class ----
@@ -393,18 +393,38 @@ class _Search:
         return False
 
 
+def _ladder_violations(g, pairs):
+    """Binary rules that break the ladder shape the divide route reads.
+
+    In a ladder, the right bracket of a left-terminal pair rewrites only to
+    bodies whose left child has no terminal rule, and every other
+    nonterminal only to bodies whose left child has one; a body of two
+    terminal-ruled children (the center step) may sit under any head.  Then
+    every derivation of a word of 9 letters or more is the chain the search
+    walks, so its verdict is exact.
+    """
+    has_term = {r.lhs for r in g.rules if len(r.rhs) == 1}
+    closers = {right for _, right in pairs["left_terminal"]}
+    return [str(r) for r in g.rules if len(r.rhs) == 2
+            and not (r.rhs[0] in has_term and r.rhs[1] in has_term)
+            and (r.lhs in closers) == (r.rhs[0] in has_term)]
+
+
 def recognize_atm(g, w):
     """Membership of w in a ladder-shaped Dyck normal form grammar.
 
     Returns (accepted, AlternationTrace).  Words shorter than 9 letters go
     through the parse table, since the division scheme needs p >= 4 ladder
     steps to bite; everything longer runs the logarithmic divide and
-    conquer over ladder positions.
+    conquer over ladder positions.  That route raises PipelineShapeError
+    on a grammar that is not ladder-shaped (elin_to_dyck_nf output always
+    is), because its search would miss the other derivations.
     """
     bad = dyck_nf_violations(g)
     if bad:
         raise GrammarError(f"recognizer needs Dyck normal form, got {bad}")
-    if partition_nonterminals(g)["no_terminal"]:
+    pairs = partition_nonterminals(g)
+    if pairs["no_terminal"]:
         raise PipelineShapeError(
             "recognizer needs a terminal side on every bracket pair "
             "(run elin_to_dyck_nf first)")
@@ -415,6 +435,11 @@ def recognize_atm(g, w):
         return ok, AlternationTrace(
             word=w, accepted=ok, route="table", n=n, p=p,
             space_cells=8 * _ceil_log2(n + 1))
+    off_ladder = _ladder_violations(g, pairs)
+    if off_ladder:
+        raise PipelineShapeError(
+            f"recognizer needs ladder shape on words of 9 letters or more "
+            f"(run elin_to_dyck_nf first); off-ladder rules: {off_ladder}")
     d, chain = iterated_division(p)
     search = _Search(g, w, d)
     ok = search.decide(1, p, _ROOT, _CENTER, 0)

@@ -541,8 +541,9 @@ def find_isomorphism(g1, g2):
 
     The renaming must map start to start, fix all terminals, and carry the
     rule set of g1 exactly onto the rule set of g2.  Rule order and symbol
-    declaration order are ignored.  Color refinement prunes the search, so
-    this is fast for the grammar sizes this package deals in.
+    declaration order are ignored.  Color refinement prunes the search, and
+    the backtracking (over an explicit stack) drops a partial renaming as
+    soon as it sends some fully renamed rule outside g2.
     """
     if sorted(g1.terminals) != sorted(g2.terminals):
         return None
@@ -550,67 +551,106 @@ def find_isomorphism(g1, g2):
         return None
     if len(g1.rules) != len(g2.rules):
         return None
-
-    def refine(g):
-        color = {}
-        for nt in g.nonterminals:
-            terminal_rules = sorted(
-                r.rhs[0] for r in g.rules if r.lhs == nt and len(r.rhs) == 1)
-            n_binary = sum(
-                1 for r in g.rules if r.lhs == nt and len(r.rhs) == 2)
-            color[nt] = (nt == g.start, tuple(terminal_rules), n_binary)
-        for _ in range(len(g.nonterminals) + 1):
-            new = {}
-            for nt in g.nonterminals:
-                own_bodies = sorted(
-                    (color[r.rhs[0]], color[r.rhs[1]])
-                    for r in g.rules if r.lhs == nt and len(r.rhs) == 2)
-                as_left = sorted(
-                    (color[r.lhs], color[r.rhs[1]])
-                    for r in g.rules if len(r.rhs) == 2 and r.rhs[0] == nt)
-                as_right = sorted(
-                    (color[r.lhs], color[r.rhs[0]])
-                    for r in g.rules if len(r.rhs) == 2 and r.rhs[1] == nt)
-                new[nt] = (color[nt], tuple(own_bodies), tuple(as_left),
-                           tuple(as_right))
-            if len(set(new.values())) == len(set(color.values())):
-                color = new
-                break
-            color = new
-        return color
-
-    c1, c2 = refine(g1), refine(g2)
-    if sorted(c1.values()) != sorted(c2.values()):
+    c1, c2 = _refine_colors(g1, g2)
+    if sorted(c1[nt] for nt in g1.nonterminals) != sorted(
+            c2[nt] for nt in g2.nonterminals):
         return None
 
     by_color = {}
     for nt in g2.nonterminals:
         by_color.setdefault(c2[nt], []).append(nt)
-
     order = sorted(g1.nonterminals, key=lambda nt: len(by_color[c1[nt]]))
+    touching = _rules_touching(g1)
     rules2 = set(g2.rules)
-
-    def extend(mapping, used, i):
-        if i == len(order):
-            mapped = {Rule(mapping[r.lhs],
-                           tuple(mapping.get(s, s) for s in r.rhs))
-                      for r in g1.rules}
-            return mapped == rules2
-        a = order[i]
-        for b in by_color.get(c1[a], []):
-            if b in used:
-                continue
-            if (a == g1.start) != (b == g2.start):
-                continue
-            mapping[a] = b
-            used.add(b)
-            if extend(mapping, used, i + 1):
-                return True
-            del mapping[a]
-            used.discard(b)
-        return False
-
     mapping = {}
-    if extend(mapping, set(), 0):
-        return mapping
+    used = set()
+    # stack[k] iterates the candidates for order[k]; order[k] is mapped
+    # while the search sits deeper than k
+    stack = [iter(by_color[c1[order[0]]])]
+    while stack:
+        a = order[len(stack) - 1]
+        if a in mapping:
+            used.discard(mapping.pop(a))
+        for b in stack[-1]:
+            if b not in used:
+                mapping[a] = b
+                if _renames_into(g1, touching[a], mapping, rules2):
+                    used.add(b)
+                    break
+                del mapping[a]
+        else:
+            stack.pop()
+            continue
+        if len(stack) < len(order):
+            stack.append(iter(by_color[c1[order[len(stack)]]]))
+        elif {_rename(r, mapping) for r in g1.rules} == rules2:
+            return mapping
     return None
+
+
+def _refine_colors(g1, g2):
+    """Stable color refinement of both grammars' nonterminals.
+
+    A nonterminal's next color stands for its color, the colors of its own
+    bodies, and the (head color, position, body colors) of each place it
+    occurs in; terminals keep fixed negative colors.  Every round numbers
+    the new colors 0, 1, ... from one table shared by the two grammars, so
+    equal colors mean equal histories across them.  Rounds stop when no
+    class splits.
+    """
+    grammars = (g1, g2)
+    places = []
+    for g in grammars:
+        at = {nt: [] for nt in g.nonterminals}
+        for r in g.rules:
+            for k, s in enumerate(r.rhs):
+                if s in at:
+                    at[s].append((k, r))
+        places.append(at)
+    fixed = {t: -1 - k for k, t in enumerate(sorted(g1.terminals))}
+    colors = [{**fixed, **{nt: int(nt == g.start) for nt in g.nonterminals}}
+              for g in grammars]
+    count = len({c[nt] for g, c in zip(grammars, colors)
+                 for nt in g.nonterminals})
+    while True:
+        table = {}
+        new = []
+        for g, color, at in zip(grammars, colors, places):
+            heads = g._heads
+            nxt = dict(fixed)
+            for nt in g.nonterminals:
+                own = sorted(tuple(color[s] for s in r.rhs)
+                             for r in heads.get(nt, ()))
+                seen = sorted((color[r.lhs], k) + tuple(color[s]
+                                                        for s in r.rhs)
+                              for k, r in at[nt])
+                nxt[nt] = table.setdefault(
+                    (color[nt], tuple(own), tuple(seen)), len(table))
+            new.append(nxt)
+        if len(table) == count:
+            return colors
+        colors, count = new, len(table)
+
+
+def _rules_touching(g):
+    """nonterminal -> the set of rules it heads or occurs in."""
+    touching = {nt: set() for nt in g.nonterminals}
+    for r in g.rules:
+        for s in (r.lhs,) + r.rhs:
+            if s in touching:
+                touching[s].add(r)
+    return touching
+
+
+def _rename(rule, mapping):
+    return Rule(mapping[rule.lhs], tuple(mapping.get(s, s) for s in rule.rhs))
+
+
+def _renames_into(g, rules, mapping, target):
+    """Does each of rules whose nonterminals are all renamed land in target?"""
+    for r in rules:
+        if all(s in mapping for s in (r.lhs,) + r.rhs
+               if g.is_nonterminal(s)) and (
+                _rename(r, mapping) not in target):
+            return False
+    return True

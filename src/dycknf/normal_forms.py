@@ -12,13 +12,16 @@ stand-in nonterminals that take over part of an existing nonterminal's job:
   1. split terminal-rule conflicts: a non-start nonterminal keeps at most a
      single direct terminal rule and, if it also has binary rules, hands the
      terminal rule to a fresh stand-in (`X_t1`, `X_t2`, ...);
-  2. separate sides: while some nonterminal occurs both as a left child and
-     as a right child, its right occurrences move to fresh stand-ins, one
+  2. separate sides: each nonterminal that occurs both as a left child and
+     as a right child hands its right occurrences to fresh stand-ins, one
      per distinct left neighbor (`X_R1`, ...), which inherit all its rules;
-  3. make the pairing: while two binary bodies share one element but not the
-     other, the shared element's later co-occurrence moves to a fresh
-     stand-in (`X_L1`/`X_R1` by the side it occupies) that inherits the
-     current rules of the one it replaces.
+  3. make the pairing: one pass over the binary bodies in rule order; where
+     a body shares one element with an earlier body but not the other, the
+     shared element's co-occurrence in it moves to a fresh stand-in
+     (`X_L1`/`X_R1` by the side it occupies) that inherits the current
+     rules of the one it replaces.
+
+Neither step 2 nor step 3 restarts its search after a fix.
 
 Every stand-in is recorded in a ledger, and collapsing stand-ins back to
 their originals (build_hd / map_tree) turns any parse tree of the converted
@@ -204,9 +207,8 @@ class _Conversion:
     """Mutable rule soup for the three conversion steps.
 
     Next to the rule list it keeps the positions of each head's rules and of
-    each body's rules in that list, and how many binary bodies hold each
-    symbol as left and as right child, so the steps look rules up instead
-    of rescanning the list.
+    each body's rules in that list, so the steps look rules up instead of
+    rescanning the list.
     """
 
     def __init__(self, g):
@@ -223,8 +225,6 @@ class _Conversion:
         self.rule_set = set()
         self.by_head = {}
         self.by_body = {}
-        self.lefts = {}
-        self.rights = {}
         for r in rules:
             self.add(r)
 
@@ -243,7 +243,7 @@ class _Conversion:
     def add(self, rule):
         if rule not in self.rule_set:
             self.by_head.setdefault(rule.lhs, []).append(len(self.rules))
-            self._index(rule, len(self.rules), 1)
+            self.by_body.setdefault(rule.rhs, []).append(len(self.rules))
             self.rules.append(rule)
             self.rule_set.add(rule)
 
@@ -255,21 +255,11 @@ class _Conversion:
 
     def replace_at(self, i, rule):
         """Put `rule`, which has the same head, at position i."""
-        self._index(self.rules[i], i, -1)
+        self.by_body[self.rules[i].rhs].remove(i)
         self.rule_set.discard(self.rules[i])
         self.rules[i] = rule
         self.rule_set.add(rule)
-        self._index(rule, i, 1)
-
-    def _index(self, rule, i, step):
-        if step > 0:
-            self.by_body.setdefault(rule.rhs, []).append(i)
-        else:
-            self.by_body[rule.rhs].remove(i)
-        if len(rule.rhs) == 2:
-            b, c = rule.rhs
-            self.lefts[b] = self.lefts.get(b, 0) + step
-            self.rights[c] = self.rights.get(c, 0) + step
+        self.by_body.setdefault(rule.rhs, []).append(i)
 
     def rules_of(self, nt):
         return [self.rules[i] for i in self.by_head.get(nt, ())]
@@ -362,21 +352,20 @@ def _separate_sides(st):
     distinct left neighbor; each stand-in inherits all of the offender's
     current rules (even if the offender itself ends up unreachable, its
     rules stay - reachability is not this step's business).
+
+    One scan at the start finds the offenders and their left neighbors, in
+    order of first occurrence, and both stay exact: a stand-in is only ever
+    a right child, a fix rewrites only the offender's own right
+    occurrences, and inherited bodies repeat bodies that already exist.
     """
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 4 * len(st.nts) * max(len(st.rules), 1):
-            raise AssertionError("side separation did not stabilize")
-        a = next((nt for nt in st.nts
-                  if st.lefts.get(nt) and st.rights.get(nt)), None)
-        if a is None:
-            return
-        neighbors = []
-        for r in st.rules:
-            if len(r.rhs) == 2 and r.rhs[1] == a and r.rhs[0] not in neighbors:
-                neighbors.append(r.rhs[0])
-        for z in neighbors:
+    lefts = set()
+    neighbors = {}
+    for r in st.rules:
+        if len(r.rhs) == 2:
+            lefts.add(r.rhs[0])
+            neighbors.setdefault(r.rhs[1], {})[r.rhs[0]] = None
+    for a in [nt for nt in st.nts if nt in lefts and nt in neighbors]:
+        for z in neighbors[a]:
             f = st.fresh(a, "R", "nonterminal", 2)
             for i in st.positions_of((z, a)):
                 st.replace_at(i, Rule(st.rules[i].lhs, (z, f)))
@@ -384,53 +373,46 @@ def _separate_sides(st):
                 st.add(Rule(f, r.rhs))
 
 
-def _first_pair_conflict(st):
-    """First binary body clashing with the canonical pairing, in rule order.
-
-    The canonical partner of a symbol is the one in its first co-occurrence.
-    Returns ("right", shared_right, offending_left) when a later body pairs
-    the shared right element with a different left, ("left", shared_left,
-    offending_right) for the mirror case, or None when the pairing holds.
-    """
-    canon_right = {}
-    canon_left = {}
-    for r in st.rules:
-        if len(r.rhs) != 2:
-            continue
-        b, c = r.rhs
-        if c in canon_left and canon_left[c] != b:
-            return ("right", c, b)
-        if b in canon_right and canon_right[b] != c:
-            return ("left", b, c)
-        canon_left.setdefault(c, b)
-        canon_right.setdefault(b, c)
-    return None
-
-
 def _make_pairing(st):
     """Step 3: left/right co-occurrence becomes a perfect matching.
 
-    Each conflicting co-occurrence moves the shared element to a fresh
-    stand-in (named by the side it occupies) which inherits the shared
-    element's current rules; rescanning continues until no conflict is left.
+    The canonical partner of a symbol is the one in its first co-occurrence.
+    One pass over the binary bodies, in rule order, checks each against
+    the canonical partners seen so far.  A conflicting co-occurrence moves
+    the shared element to a fresh stand-in (named by the side it occupies)
+    which inherits the shared element's current rules, and the rewritten
+    body is examined again.
+
+    The pass never restarts: every body the fix rewrites sits at the
+    conflict's position or later, and inherited rules are appended, so the
+    canonical partners taken from the earlier positions stay valid.
     """
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 4 * len(st.nts) * max(len(st.rules), 1) + 16:
-            raise AssertionError("pairing pass did not stabilize")
-        conflict = _first_pair_conflict(st)
-        if conflict is None:
-            return
-        kind, shared, offender = conflict
-        if kind == "right":
-            f = st.fresh(shared, "R", "nonterminal", 3)
-            target, replacement = (offender, shared), (offender, f)
+    canon_left = {}
+    canon_right = {}
+    conflicts = 0
+    i = 0
+    while i < len(st.rules):
+        body = st.rules[i].rhs
+        if len(body) != 2:
+            i += 1
+            continue
+        b, c = body
+        if canon_left.get(c, b) != b:
+            shared, side = c, "R"
+        elif canon_right.get(b, c) != c:
+            shared, side = b, "L"
         else:
-            f = st.fresh(shared, "L", "nonterminal", 3)
-            target, replacement = (shared, offender), (f, offender)
-        for i in st.positions_of(target):
-            st.replace_at(i, Rule(st.rules[i].lhs, replacement))
+            canon_left[c] = b
+            canon_right[b] = c
+            i += 1
+            continue
+        conflicts += 1
+        if conflicts > 4 * len(st.nts) * max(len(st.rules), 1) + 16:
+            raise AssertionError("pairing pass did not stabilize")
+        f = st.fresh(shared, side, "nonterminal", 3)
+        replacement = (b, f) if side == "R" else (f, c)
+        for j in st.positions_of(body):
+            st.replace_at(j, Rule(st.rules[j].lhs, replacement))
         for r in st.rules_of(shared):
             st.add(Rule(f, r.rhs))
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import dycknf as d
 from dycknf.corpus import (
     canonical_elin_grammar,
+    corpus_grammars,
     mutate_words,
     random_elin_grammar,
     random_elin_members,
@@ -207,6 +208,39 @@ def test_recognizer_rejects_unshaped_grammars(expr_converted):
     with pytest.raises(d.GrammarError):
         d.recognize_atm(d.parse_grammar("start: S\nS -> 'a' S 'b' | 'c'"),
                         "acb")
+
+
+def test_recognizer_refuses_non_ladder_grammars():
+    g = d.parse_grammar(
+        "start: S\nS -> A B | 'b'\nA -> B A | 'a' | B B\nB -> 'a'")
+    gd, _ = d.to_dyck_nf(d.to_cnf(g))
+    assert not d.partition_nonterminals(gd)["no_terminal"]
+    assert d.recognize_atm(gd, "a" * 8)[0] == d.member(gd, "a" * 8)
+    for n in (9, 10, 11):
+        with pytest.raises(d.PipelineShapeError, match="ladder"):
+            d.recognize_atm(gd, "a" * n)
+    # a right bracket that opens another step instead of closing one
+    chain = d.parse_grammar("start: S\nS -> A B\nB -> A B | D C\n"
+                            "A -> 'a'\nD -> 'a'\nC -> 'b'")
+    assert d.member(chain, "a" * 8 + "b")
+    with pytest.raises(d.PipelineShapeError, match="B -> A B"):
+        d.recognize_atm(chain, "a" * 8 + "b")
+
+
+def test_recognizer_exact_or_refusing_on_corpus():
+    accepted = 0
+    for g in corpus_grammars(30, seed=7):
+        gd, _ = d.to_dyck_nf(d.to_cnf(g))
+        try:
+            d.recognize_atm(gd, "a" * 9)
+        except d.PipelineShapeError:
+            continue
+        accepted += 1
+        for n in (9, 10):
+            for letters in itertools.product(sorted(gd.terminals), repeat=n):
+                w = "".join(letters)
+                assert d.recognize_atm(gd, w)[0] == d.member(gd, w), (g, w)
+    assert accepted
 
 
 def test_resource_accounting_grows_logarithmically():

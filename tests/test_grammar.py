@@ -3,6 +3,10 @@ trees and derivations."""
 
 from __future__ import annotations
 
+import gc
+import inspect
+import sys
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -180,6 +184,56 @@ def test_isomorphism_rejects_different_language(expr_cnf, expr_dyck_expected):
     g1 = d.parse_grammar("start: S\nS -> 'a'")
     g2 = d.parse_grammar("start: S\nS -> 'b'")
     assert d.find_isomorphism(g1, g2) is None
+
+
+def _chain(k, name):
+    """name0 -> T name1 | 'a', ..., one nonterminal per link."""
+    lines = [f"start: {name}0", "T -> 'b'", f"{name}{k - 1} -> 'a'"]
+    lines += [f"{name}{i} -> T {name}{i + 1} | 'a'" for i in range(k - 1)]
+    return d.parse_grammar("\n".join(lines))
+
+
+def test_isomorphism_on_long_chain_needs_no_recursion():
+    g1, g2 = _chain(400, "N"), _chain(400, "M")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        iso = d.find_isomorphism(g1, g2)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert iso == {f"N{i}": f"M{i}" for i in range(400)} | {"T": "T"}
+
+
+def test_isomorphism_drops_partial_renamings_early():
+    # colour refinement cannot tell the A's (or the B's) apart, and only
+    # the renaming that keeps each A with its own B works
+    m = 30
+    lines = ["start: S"] + [f"S -> A{i} A{i}" for i in range(m)]
+    lines += [f"A{i} -> B{i} B{i}" for i in range(m)]
+    lines += [f"B{i} -> 'b'" for i in range(m)]
+    g1 = d.parse_grammar("\n".join(lines))
+    names = {"S": "S"}
+    for i in range(m):
+        names[f"A{i}"] = f"X{(7 * i) % m}"
+        names[f"B{i}"] = f"Y{(11 * i) % m}"
+
+    def rename(rules, mapping):
+        return {d.Rule(mapping[r.lhs], tuple(mapping.get(s, s) for s in r.rhs))
+                for r in rules}
+
+    g2 = d.Grammar(sorted(names.values()), ["b"], "S", rename(g1.rules, names))
+    iso = d.find_isomorphism(g1, g2)
+    assert iso is not None and rename(g1.rules, iso) == set(g2.rules)
+
+
+def test_isomorphism_leaves_no_reference_cycles(expr_dyck_expected):
+    gc.collect()
+    gc.disable()
+    try:
+        assert d.find_isomorphism(expr_dyck_expected, expr_dyck_expected)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---- cached indexes ----

@@ -5,12 +5,15 @@ known-good expected output; the random corpus covers the rest."""
 from __future__ import annotations
 
 import gc
+import hashlib
 import inspect
 import sys
 
 import pytest
 
 import dycknf as d
+from dycknf.corpus import (elin_corpus, random_cnf_grammar,
+                           random_elin_grammar)
 
 
 # ---- cleanup and fresh starts ----
@@ -123,6 +126,24 @@ def test_conversion_is_idempotent(dyck_corpus):
         again, ledger = d.to_dyck_nf(gd)
         assert ledger == ()
         assert again.rules == gd.rules
+
+
+# sha256 of the corpus below, serialized grammar and ledger text per
+# conversion; any change to the conversions' output bytes changes it
+CONVERSION_DIGEST = ("44bc966e538ad1ac5e69fee5877e5de1"
+                     "b81a10ab23ec6b3927a142da7b394838")
+
+
+def test_conversion_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for seed in range(300):
+        g = random_cnf_grammar(f"pin{seed}", max_nts=8, alphabet="abc")
+        gd, ledger = d.to_dyck_nf(d.to_cnf(g))
+        digest.update((d.serialize(gd) + d.ledger_text(ledger)).encode())
+    for g in elin_corpus(5) + [random_elin_grammar(s) for s in range(50)]:
+        gd, ledger = d.elin_to_dyck_nf(g)
+        digest.update((d.serialize(gd) + d.ledger_text(ledger)).encode())
+    assert digest.hexdigest() == CONVERSION_DIGEST
 
 
 def test_to_dyck_nf_rejects_non_cnf(expr):
