@@ -4,11 +4,13 @@ Cells are exposed 1-based, V[i][j] covering w_i..w_j inclusive, because
 matched-pair positions elsewhere in the package are 1-based and keeping the
 two conventions aligned prevents a whole class of off-by-one bugs.
 
-build_table works on bitsets: while the table is built, a cell is one int
-mask over the grammar's nonterminals, and a left cell is combined with a
-right one by one bit test per right partner of each of its symbols (one
-partner per symbol in Dyck normal form).  The table it returns still maps
-each (i, j) to a set of nonterminal names.
+build_table works on bitsets: a cell is one int mask over the grammar's
+nonterminals, and a left cell is combined with a right one by one bit test
+per right partner of each of its symbols (one partner per symbol in Dyck
+normal form).  It returns the masks in a read-only view, CYKTable, that maps
+each (i, j) to a set of nonterminal names but decodes a cell only when that
+cell is read.  member and the tree walks test bits of the masks themselves,
+so they decode nothing.
 
 extract_tree, all_trees and count_trees read a word's one parse forest
 through one bottom-up evaluation (_evaluate) over an explicit stack, so
@@ -21,6 +23,8 @@ declaration order), so golden tests can pin exact derivations.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 from .grammar import GrammarError, ResourceLimitError
 
 DEFAULT_TREE_CAP = 100_000
@@ -30,8 +34,41 @@ class NotAMemberError(ValueError):
     """Asked for a parse of a word the grammar does not derive."""
 
 
+class CYKTable(Mapping):
+    """The recognition table of one word: (i, j) -> set of nonterminals.
+
+    A read-only view of the masks build_table filled: each read decodes its
+    cell into a fresh set, and iteration runs row-major over 1 <= i <= j <=
+    n, like the dict of every cell.  It records the word and the grammar
+    index it was built from, so that a walk handed a table can refuse one
+    built for another word or grammar.
+    """
+
+    __slots__ = ("word", "_index", "_rows")
+
+    def __init__(self, index, word, rows):
+        self.word, self._index, self._rows = word, index, rows
+
+    def __getitem__(self, key):
+        try:
+            i, j = key
+            if 1 <= i <= j <= len(self.word):
+                return set(_names(self._index[0], self._rows[i - 1][j - 1]))
+        except (TypeError, ValueError):
+            pass
+        raise KeyError(key)
+
+    def __iter__(self):
+        n = len(self.word)
+        return ((i, j) for i in range(1, n + 1) for j in range(i, n + 1))
+
+    def __len__(self):
+        n = len(self.word)
+        return n * (n + 1) // 2
+
+
 def build_table(g, w):
-    """The recognition table as {(i, j): set of nonterminals}, 1-based.
+    """The recognition table of w, 1-based, as a CYKTable view.
 
     Masks are indexed by Grammar._cnf_index.  Each row keeps the list of
     its nonempty cells, so a split whose left cell is empty costs nothing.
@@ -39,7 +76,7 @@ def build_table(g, w):
     index = g._cnf_index
     if index is None:
         raise GrammarError("CYK needs a grammar in Chomsky normal form")
-    names, by_terminal, by_left = index
+    _, _, by_terminal, by_left = index
     n = len(w)
     rows = [[0] * n for _ in range(n)]  # rows[i][j]: the mask of w[i..j]
     filled = [[] for _ in range(n)]  # filled[i]: (l + 1, rows[i][l]) if != 0
@@ -64,18 +101,7 @@ def build_table(g, w):
             if acc:
                 rows[i][j] = acc
                 filled[i].append((j + 1, acc))
-    table = {}
-    decoded = {}
-    for i, row in enumerate(rows, 1):
-        for j in range(i, n + 1):
-            mask = row[j - 1]
-            if not mask:
-                table[(i, j)] = set()
-                continue
-            if mask not in decoded:
-                decoded[mask] = _names(names, mask)
-            table[(i, j)] = set(decoded[mask])
-    return table
+    return CYKTable(index, w, rows)
 
 
 def _names(names, mask):
@@ -85,7 +111,7 @@ def _names(names, mask):
         low = mask & -mask
         found.append(names[low.bit_length() - 1])
         mask ^= low
-    return tuple(found)
+    return found
 
 
 def member(g, w):
@@ -95,18 +121,33 @@ def member(g, w):
 
 def _parse_table(g, w, table=None):
     """The table of w when g derives it, else None."""
+    if table is not None:
+        _check_table(g, w, table)
     if not w or any(not g.is_terminal(ch) for ch in w):
         return None
     if table is None:
         table = build_table(g, w)
-    return table if g.start in table[(1, len(w))] else None
+    start = table._index[1].get(g.start, 0)
+    return table if table._rows[0][-1] & start else None
+
+
+def _check_table(g, w, table):
+    """ValueError unless table is what build_table(g, w) returns."""
+    if not isinstance(table, CYKTable):
+        raise ValueError("table= takes a table from build_table, not a "
+                         f"{type(table).__name__}")
+    if table._index != g._cnf_index:
+        raise ValueError("table= was built for another grammar")
+    if table.word != w:
+        raise ValueError(f"table= was built for {table.word!r}, not {w!r}")
 
 
 def extract_tree(g, w, table=None):
     """The canonical parse tree of w, or NotAMemberError.
 
     Ties break on the smallest split point first, then on rule declaration
-    order, so repeated calls (and golden tests) always agree.
+    order, so repeated calls (and golden tests) always agree.  A table
+    passed in must be build_table(g, w)'s, else ValueError.
     """
     table = _parse_table(g, w, table)
     if table is None:
@@ -190,11 +231,16 @@ def _evaluate(g, w, table, leaf, node, first=False):
 
 def _alternatives(rules, table, i, j, first):
     """(left, right) children over w_i..w_j: by split point, then rule."""
+    rows, bit = table._rows, table._index[1]
+    row = rows[i - 1]
     found = []
     for l in range(i, j):
-        left, right = table[(i, l)], table[(l + 1, j)]
+        left, right = row[l - 1], rows[l][j - 1]
+        if not (left and right):
+            continue
         for r in rules:
-            if len(r.rhs) == 2 and r.rhs[0] in left and r.rhs[1] in right:
+            if (len(r.rhs) == 2 and left & bit[r.rhs[0]]
+                    and right & bit[r.rhs[1]]):
                 found.append(((r.rhs[0], i, l), (r.rhs[1], l + 1, j)))
                 if first:
                     return found
@@ -202,14 +248,18 @@ def _alternatives(rules, table, i, j, first):
 
 
 def format_table(g, w, table=None):
-    """Row-major text dump of the table, for debugging and the test suite."""
+    """Row-major text dump of the table, for debugging and the test suite.
+
+    Each cell lists its nonterminals in declaration order.
+    """
     if table is None:
         table = build_table(g, w)
-    n = len(w)
-    order = {nt: k for k, nt in enumerate(g.nonterminals)}
+    else:
+        _check_table(g, w, table)
+    names = table._index[0]
     lines = []
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            cell = sorted(table[(i, j)], key=order.get)
+    for i, row in enumerate(table._rows, 1):
+        for j in range(i, len(w) + 1):
+            cell = _names(names, row[j - 1])
             lines.append(f"{i},{j}: {{{', '.join(cell)}}}")
     return "\n".join(lines) + "\n"

@@ -72,11 +72,12 @@ class Grammar:
       * `_heads`: head -> tuple of its rules in declaration order
         (rules_for, has_rule, validate_tree and the CYK tree walks);
       * `_cnf_index`: None when the grammar is not in Chomsky normal form
-        (is_cnf), else the bitsets cyk.build_table reads: the nonterminals
-        in declaration order (bit k stands for the k-th), terminal -> mask
-        of the heads of its terminal rules, and left-child bit -> tuple of
-        (right-partner mask, mask of the heads of that body), one entry per
-        right partner, so exactly one per left symbol in Dyck normal form;
+        (is_cnf), else the bitsets the cyk module reads: the nonterminals
+        in declaration order (bit k stands for the k-th), nonterminal ->
+        its bit, terminal -> mask of the heads of its terminal rules, and
+        left-child bit -> tuple of (right-partner mask, mask of the heads
+        of that body), one entry per right partner, so exactly one per left
+        symbol in Dyck normal form;
       * `_dyck_check`: the Dyck normal form violations, and the canonical
         pairing when there are none (dyck_nf_violations and pairing_of).
     """
@@ -118,7 +119,8 @@ class Grammar:
         by_left = {}
         for (b, c), heads in by_body.items():
             by_left.setdefault(bit[b], []).append((bit[c], heads))
-        return names, by_terminal, {b: tuple(p) for b, p in by_left.items()}
+        return (names, bit, by_terminal,
+                {b: tuple(p) for b, p in by_left.items()})
 
     @cached_property
     def _dyck_check(self):

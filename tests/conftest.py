@@ -69,3 +69,24 @@ def elin_converted(elin_grammars):
         gd, ledger = d.elin_to_dyck_nf(g)
         out.append((g, gd, ledger))
     return out
+
+
+def _scan_table(g, w):
+    """CYK that scans every rule for every cell and split point."""
+    n = len(w)
+    table = {(i, i): {r.lhs for r in g.rules if r.rhs == (w[i - 1],)}
+             for i in range(1, n + 1)}
+    for span in range(2, n + 1):
+        for i in range(1, n - span + 2):
+            j = i + span - 1
+            table[(i, j)] = {
+                r.lhs for r in g.rules for l in range(i, j)
+                if len(r.rhs) == 2 and r.rhs[0] in table[(i, l)]
+                and r.rhs[1] in table[(l + 1, j)]}
+    return table
+
+
+@pytest.fixture(scope="session")
+def scan_table():
+    """The reference CYK table as a dict of sets, the oracle for the masks."""
+    return _scan_table

@@ -7,15 +7,19 @@ language, so they get held against each other here.
 from __future__ import annotations
 
 import gc
+import hashlib
 import inspect
 import itertools
+import pickle
+import re
 import sys
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import dycknf as d
-from dycknf.corpus import random_cnf_grammar
+from dycknf.corpus import corpus_grammars, random_cnf_grammar
 
 
 def test_member_basics(expr_cnf):
@@ -127,6 +131,92 @@ def test_word_cap_is_enforced():
     g = d.parse_grammar("start: S\nS -> S_ S_\nS_ -> S_ S_ | 'a' | 'b'")
     with pytest.raises(d.ResourceLimitError):
         d.enumerate_words(g, 24, cap=1000)
+
+
+# sha256 of the walkers' answers on every word of length <= 5 over the
+# corpus below; any change to a tree, an order, a count, a refusal or the
+# table dump changes it
+WALKER_DIGEST = ("daaef631215d7a9aa7add700297a0a07"
+                 "12282178fcf8a9630d690a7ba5e8777b")
+
+
+def _walker_record(g, w):
+    try:
+        tree = d.extract_tree(g, w)
+    except d.NotAMemberError as e:
+        tree = str(e)
+    try:
+        trees = d.all_trees(g, w, cap=200)
+    except d.ResourceLimitError as e:
+        trees = (type(e).__name__, str(e))
+    table = d.format_table(g, w) if len(w) < 4 else None
+    return tree, trees, d.count_trees(g, w), d.member(g, w), table
+
+
+def test_walker_output_is_pinned(expr_cnf):
+    grammars = [expr_cnf]
+    for g in corpus_grammars(20):
+        g_cnf = d.to_cnf(g)
+        grammars += [g_cnf, d.to_dyck_nf(g_cnf)[0]]
+    digest = hashlib.sha256()
+    words = 0
+    for g in grammars:
+        for n in range(1, 6):
+            for letters in itertools.product(g.terminals, repeat=n):
+                w = "".join(letters)
+                digest.update(pickle.dumps(_walker_record(g, w), protocol=4))
+                words += 1
+    assert words == 2501
+    assert digest.hexdigest() == WALKER_DIGEST
+
+
+def test_table_view_contract(expr_cnf, scan_table):
+    for w in ("a+a*a", "a$a", "a", ""):
+        table = d.build_table(expr_cnf, w)
+        n = len(w)
+        assert isinstance(table, Mapping)
+        assert table == scan_table(expr_cnf, w) == table
+        assert len(table) == n * (n + 1) // 2
+        assert list(table) == [(i, j) for i in range(1, n + 1)
+                               for j in range(i, n + 1)]
+        for key in ((0, 1), (1, 0), (1, n + 1), (2, 1), (n + 1, n + 1),
+                    (1,), (1, 1, 1), 1, "1,1", None):
+            assert key not in table
+            with pytest.raises(KeyError):
+                table[key]
+    table = d.build_table(expr_cnf, "a+a")
+    top = table[(1, 3)]
+    kept = set(top)
+    top.clear()
+    assert table[(1, 3)] == kept and kept
+    with pytest.raises(TypeError):
+        table[(1, 1)] = set()
+
+
+def test_table_of_another_word_or_grammar_is_refused(expr_cnf,
+                                                     expr_converted):
+    # a table for a+a would let a*a parse with E2 -> '*', a rule it lacks
+    for table, reason in (
+            (d.build_table(expr_cnf, "a+a"), "built for 'a+a', not 'a*a'"),
+            (d.build_table(expr_converted[0], "a*a"), "another grammar")):
+        for read in (d.extract_tree, d.format_table):
+            with pytest.raises(ValueError, match=re.escape(reason)):
+                read(expr_cnf, "a*a", table=table)
+    same = d.parse_grammar(d.serialize(expr_cnf))
+    table = d.build_table(same, "a*a")
+    assert (d.extract_tree(expr_cnf, "a*a", table=table)
+            == d.extract_tree(expr_cnf, "a*a"))
+    assert d.format_table(expr_cnf, "a*a", table) == d.format_table(
+        expr_cnf, "a*a")
+
+
+def test_table_not_from_build_table_is_refused(expr_cnf, scan_table):
+    words = ("a*a", "aa", "")
+    for table in ({}, scan_table(expr_cnf, "a*a")):
+        for w in words:
+            for read in (d.extract_tree, d.format_table):
+                with pytest.raises(ValueError, match="from build_table"):
+                    read(expr_cnf, w, table=table)
 
 
 def test_format_table(expr_cnf):

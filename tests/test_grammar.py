@@ -238,21 +238,6 @@ def test_isomorphism_leaves_no_reference_cycles(expr_dyck_expected):
 
 # ---- cached indexes ----
 
-def _scan_table(g, w):
-    """CYK that scans every rule for every cell and split point."""
-    n = len(w)
-    table = {(i, i): {r.lhs for r in g.rules if r.rhs == (w[i - 1],)}
-             for i in range(1, n + 1)}
-    for span in range(2, n + 1):
-        for i in range(1, n - span + 2):
-            j = i + span - 1
-            table[(i, j)] = {
-                r.lhs for r in g.rules for l in range(i, j)
-                if len(r.rhs) == 2 and r.rhs[0] in table[(i, l)]
-                and r.rhs[1] in table[(l + 1, j)]}
-    return table
-
-
 def _scan_pairing(g):
     pairs = []
     for r in g.rules:
@@ -281,13 +266,13 @@ C -> A B | 'c'
 """
 
 
-def test_indexes_match_list_scans(dyck_corpus):
+def test_indexes_match_list_scans(dyck_corpus, scan_table):
     wide, shared = _wide_cnf(), d.parse_grammar(SHARED_BODIES)
     assert d.cleanup(wide) == wide and len(wide.nonterminals) > 64
     assert d.is_cnf(shared) and not d.is_dyck_nf(shared)
     for k, g in enumerate((wide, shared)):
         for w in random_words(g.terminals, 12, 30, seed=k):
-            assert d.build_table(g, w) == _scan_table(g, w)
+            assert d.build_table(g, w) == scan_table(g, w)
     for k, (g_cnf, gd, _) in enumerate(dyck_corpus):
         for g in (g_cnf, gd):
             for nt in g.nonterminals + ["Nowhere"]:
@@ -298,7 +283,7 @@ def test_indexes_match_list_scans(dyck_corpus):
                               d.Rule(g.start, r.rhs)):
                     assert g.has_rule(other) == (other in g.rules)
             for w in random_words(g.terminals, 6, 12, seed=k):
-                assert d.build_table(g, w) == _scan_table(g, w)
+                assert d.build_table(g, w) == scan_table(g, w)
         assert d.pairing_of(gd) == _scan_pairing(gd)
 
 
