@@ -190,6 +190,18 @@ def _cmd_verify_equiv(args):
 
 # ---- wiring ----
 
+def _positive_int(text):
+    """argparse type for counts and bounds: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
+
+
 @functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser():
     parser = argparse.ArgumentParser(
@@ -222,7 +234,7 @@ def _build_parser():
     p = add("check-dyck", _cmd_check_dyck,
             "test a bracket word for one-sided Dyck membership, both routes",
             brackets=True)
-    p.add_argument("-k", "--pairs", type=int, default=None,
+    p.add_argument("-k", "--pairs", type=_positive_int, default=None,
                    help="number of bracket pairs (default: largest used)")
     p = add("phi", _cmd_phi,
             "print the bracket pairing and its letter map, with extension "
@@ -230,16 +242,16 @@ def _build_parser():
     p = add("verify-phi", _cmd_verify_phi,
             "check that the letter map sends the trace set onto the "
             "language")
-    p.add_argument("--max-len", type=int, default=7,
+    p.add_argument("--max-len", type=_positive_int, default=7,
                    help="word length bound (default 7)")
     add("elin-recognize", _cmd_elin_recognize,
         "recognize a word with the even linear divide-and-conquer",
         word=True)
     p = add("verify-equiv", _cmd_verify_equiv,
             "cross-check a grammar against its cnf and dyck conversions")
-    p.add_argument("--max-len", type=int, default=7,
+    p.add_argument("--max-len", type=_positive_int, default=7,
                    help="word length bound (default 7)")
-    p.add_argument("--samples", type=int, default=30,
+    p.add_argument("--samples", type=_positive_int, default=30,
                    help="words per probe batch (default 30)")
     p.add_argument("--seed", default=0, help="sampling seed")
     return parser

@@ -250,13 +250,14 @@ def trace_language(g, max_word_len, tree_cap=DEFAULT_TREE_CAP,
                    word_cap=DEFAULT_WORD_CAP):
     """Traces of every parse tree of every derivable word up to a length.
 
-    One-letter words have no trace and contribute nothing here; they are
-    covered separately by the start-terminal extension in the phi module.
+    One enumeration of the language; one-letter words have no trace and
+    contribute nothing here (the phi module's extension covers them).
     """
-    traces = set()
-    for w in enumerate_words(g, max_word_len, cap=word_cap):
-        if len(w) < 2:
-            continue
-        for t in all_trees(g, w, cap=tree_cap):
-            traces.add(trace_word(g, t))
-    return traces
+    return _traces_of(g, enumerate_words(g, max_word_len, cap=word_cap),
+                      tree_cap)
+
+
+def _traces_of(g, words, tree_cap):
+    """The set of traces of every parse tree of every word in `words`."""
+    return {trace_word(g, t) for w in words if len(w) > 1
+            for t in all_trees(g, w, cap=tree_cap)}

@@ -286,15 +286,24 @@ def _check_alt(tokens, lineno, col):
 def serialize(g):
     """Render a grammar in the text format.
 
-    Consecutive rules with the same head are folded into one line, so a
-    parsed grammar serializes back to an equivalent file and
-    parse(serialize(g)) == g structurally.
+    Consecutive rules with the same head are folded into one line, and
+    parse_grammar reads the text back to the same start symbol and rules.
+    parse(serialize(g)) == g holds only when g lists its nonterminals in the
+    order their first rules appear and its terminals in the order they first
+    appear in rule bodies, with no unused terminal, as a parsed grammar does.
+    A nonterminal with no rules, or a body longer than parse_grammar's
+    DEFAULT_MAX_RHS limit, has no text form and raises GrammarError.
     """
     heads = {r.lhs for r in g.rules}
     for nt in g.nonterminals:
         if nt not in heads:
             raise GrammarError(
                 f"cannot serialize: nonterminal {nt} has no rules")
+    for r in g.rules:
+        if len(r.rhs) > DEFAULT_MAX_RHS:
+            raise GrammarError(
+                f"cannot serialize: rule {r} has {len(r.rhs)} body symbols, "
+                f"more than DEFAULT_MAX_RHS={DEFAULT_MAX_RHS}")
     lines = [f"start: {g.start}"]
     i = 0
     while i < len(g.rules):

@@ -12,9 +12,9 @@ empty string.  Two loose ends make this exact:
   * the set of traces is itself a subset of the one-sided Dyck language over
     the extended pairing (checked here, not assumed).
 
-verify_characterization ties it together at desk scale: the phi-image of the
-trace set (plus the extension pair words) must equal the grammar's language
-up to a length bound, and every trace must pass the Dyck membership check.
+verify_characterization ties it together at desk scale, from one enumeration
+of the language: the phi-image of the trace set (plus the extension pair
+words) must equal L(g) up to a length bound, and every trace must be Dyck.
 
 partition_nonterminals classifies bracket pairs by which side carries a
 terminal rule; the even-linear pipeline leans on the fact that it never
@@ -25,8 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .dyck import (encode_trace, in_dk_stack, pair_code, render_dyck_word,
-                   trace_language)
+from .dyck import (_traces_of, encode_trace, in_dk_stack, pair_code,
+                   render_dyck_word)
 from .enumeration import DEFAULT_WORD_CAP, enumerate_words
 from .grammar import (
     Grammar,
@@ -191,10 +191,6 @@ class CharacterizationReport:
         return "\n".join(lines)
 
 
-def _length_lex(words):
-    return sorted(words, key=lambda w: (len(w), w))
-
-
 def verify_characterization(g, max_len, word_cap=DEFAULT_WORD_CAP,
                             tree_cap=DEFAULT_TREE_CAP):
     """Check that phi maps the trace set onto exactly L(g), up to max_len.
@@ -203,32 +199,33 @@ def verify_characterization(g, max_len, word_cap=DEFAULT_WORD_CAP,
     trace, every one-letter word the image of its extension pair, no trace
     may map outside the language, and every trace (as a bracket word over
     the extended pairing) must pass the one-sided Dyck membership check.
+    One enumeration of the language yields both the words and the traces.
+    Raises ValueError for max_len below 1.
     """
+    if max_len < 1:
+        raise ValueError(f"max_len must be at least 1, got {max_len}")
     ext = extend_grammar(g)
     phi = build_phi(ext)
     code = bracket_code(ext)
 
-    words = set(enumerate_words(g, max_len, cap=word_cap))
-    dprime = trace_language(g, max_len, tree_cap=tree_cap, word_cap=word_cap)
+    words = enumerate_words(g, max_len, cap=word_cap)  # length-lex order
+    language = set(words)
+    dprime = _traces_of(g, words, tree_cap)
     dprime |= {(left, right) for left, right, _ in ext.new_pairs}
 
-    image = {}
-    for tr in dprime:
-        image.setdefault(apply_phi(phi, tr), []).append(tr)
-
-    missing = _length_lex(w for w in words if w not in image)
-    extra = []
-    not_dyck = []
+    images, extra, not_dyck = set(), [], []
     for tr in sorted(dprime, key=lambda t: (len(t), t)):
+        image = apply_phi(phi, tr)
+        images.add(image)
         word = encode_trace(code, tr)
-        text = render_dyck_word(word)
-        if apply_phi(phi, tr) not in words:
-            extra.append((text, apply_phi(phi, tr)))
+        if image not in language:
+            extra.append((render_dyck_word(word), image))
         if not in_dk_stack(word, k=ext.k_total):
-            not_dyck.append(text)
+            not_dyck.append(render_dyck_word(word))
 
+    missing = [w for w in words if w not in images]
     return CharacterizationReport(
         ok=not (missing or extra or not_dyck),
         max_len=max_len, k_base=ext.k_base, k_total=ext.k_total,
-        words=_length_lex(words), trace_count=len(dprime),
+        words=words, trace_count=len(dprime),
         missing=missing, extra=extra, not_dyck=not_dyck)

@@ -143,6 +143,32 @@ def test_bad_grammar_is_usage_error(capsys, monkeypatch):
     assert code == 2 and "error:" in err
 
 
+def refused(capsys, *argv):
+    """Exit code and stderr of a command line that argparse rejects."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    return exc.value.code, capsys.readouterr().err
+
+
+def test_max_len_must_be_positive(capsys):
+    for verb, grammar in (("verify-phi", EXPR_CNF), ("verify-equiv", EXPR)):
+        for bad in ("0", "-3", "x"):
+            code, err = refused(capsys, verb, grammar, "--max-len", bad)
+            assert code == 2 and "--max-len" in err
+
+
+def test_samples_must_be_positive(capsys):
+    for bad in ("0", "-1"):
+        code, err = refused(capsys, "verify-equiv", EXPR, "--samples", bad)
+        assert code == 2 and "--samples" in err
+
+
+def test_pairs_must_be_positive(capsys):
+    for bad in ("0", "-1"):
+        code, err = refused(capsys, "check-dyck", "[1 ]1", "-k", bad)
+        assert code == 2 and "--pairs" in err
+
+
 def test_unknown_verb_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "x"])

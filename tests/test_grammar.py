@@ -59,6 +59,23 @@ def test_serialize_round_trip(expr, expr_cnf, expr_dyck_expected):
         assert d.parse_grammar(d.serialize(g)) == g
 
 
+def test_serialize_refuses_what_parse_would_reject():
+    g = d.Grammar(["S"], ["a"], "S", [d.Rule("S", ("a",) * 9)])
+    d.validate(g)
+    with pytest.raises(d.GrammarError, match="DEFAULT_MAX_RHS") as exc:
+        d.serialize(g)
+    assert not isinstance(exc.value, d.ParseError)
+    assert "S -> a a a a a a a a a" in str(exc.value)
+
+
+def test_serialize_round_trip_needs_first_use_order():
+    g = d.Grammar(["A", "S"], ["a"], "S",
+                  [d.Rule("S", ("A",)), d.Rule("A", ("a",))])
+    back = d.parse_grammar(d.serialize(g))
+    assert back.nonterminals == ["S", "A"] and back.rules == g.rules
+    assert back != g
+
+
 @given(st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
 def test_serialize_round_trip_random(seed):

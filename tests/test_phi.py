@@ -3,9 +3,14 @@ the full image-equality verification."""
 
 from __future__ import annotations
 
+import hashlib
+import pickle
+
 import pytest
 
 import dycknf as d
+import dycknf.dyck
+import dycknf.phi
 
 
 def test_partition_of_golden(expr_converted):
@@ -96,3 +101,59 @@ def test_report_renders_failures():
 def test_characterization_requires_dyck_nf(expr_cnf):
     with pytest.raises(d.GrammarError):
         d.verify_characterization(expr_cnf, 5)
+
+
+def test_characterization_refuses_max_len_below_one(expr_converted):
+    gd, _ = expr_converted
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="max_len"):
+            d.verify_characterization(gd, bad)
+
+
+# sha256 of the reports and trace sets below; any change to a report field,
+# a list order or a trace changes it
+CHARACTERIZATION_DIGEST = ("18c68d0c734b82c67c8805fa61f1c68a"
+                           "4d82292a6b956471661f86de8e67bd3b")
+
+
+def test_characterization_output_is_pinned(dyck_corpus, elin_converted):
+    digest = hashlib.sha256()
+    for _, gd, _ in dyck_corpus + elin_converted:
+        for n in (4, 6):
+            report = d.verify_characterization(gd, n)
+            digest.update(pickle.dumps(report.__dict__, protocol=4))
+            digest.update(pickle.dumps(sorted(d.trace_language(gd, n)),
+                                       protocol=4))
+    assert digest.hexdigest() == CHARACTERIZATION_DIGEST
+
+
+def test_characterization_reports_planted_faults(expr_converted, monkeypatch):
+    gd, _ = expr_converted
+    all_trees, build_phi, in_dk_stack = (
+        dycknf.dyck.all_trees, dycknf.phi.build_phi, dycknf.phi.in_dk_stack)
+
+    def drop_one_word(g, w, **kw):
+        return [] if w == "a*a+a" else all_trees(g, w, **kw)
+
+    def foreign_letter(ext):
+        phi = build_phi(ext)
+        phi["E2_L1"] = "#"
+        return phi
+
+    def reject_extension(word, k=None):
+        return word != (8, -8) and in_dk_stack(word, k)
+
+    monkeypatch.setattr(dycknf.dyck, "all_trees", drop_one_word)
+    monkeypatch.setattr(dycknf.phi, "build_phi", foreign_letter)
+    monkeypatch.setattr(dycknf.phi, "in_dk_stack", reject_extension)
+    report = d.verify_characterization(gd, 5)
+    # a*a+a has no trace, every '+' trace maps through '#' instead, and the
+    # extension pair [8 ]8 fails the Dyck check
+    assert not report.ok
+    assert report.words == ["a", "a*a", "a+a", "a*a*a", "a*a+a", "a+a*a",
+                            "a+a+a"]
+    assert report.trace_count == 6
+    assert report.missing == ["a+a", "a*a+a", "a+a+a"]
+    assert report.extra == [("[5 ]5 [7 ]7", "a#a"),
+                            ("[2 [5 ]5 [7 ]7 ]2 [7 ]7", "a#a#a")]
+    assert report.not_dyck == ["[8 ]8"]
