@@ -5,12 +5,14 @@ matched-pair positions elsewhere in the package are 1-based and keeping the
 two conventions aligned prevents a whole class of off-by-one bugs.
 
 build_table works on bitsets: a cell is one int mask over the grammar's
-nonterminals, and a left cell is combined with a right one by one bit test
-per right partner of each of its symbols (one partner per symbol in Dyck
-normal form).  It returns the masks in a read-only view, CYKTable, that maps
-each (i, j) to a set of nonterminal names but decodes a cell only when that
-cell is read.  member and the tree walks test bits of the masks themselves,
-so they decode nothing.
+nonterminals.  It pushes rather than pulls: each finished cell is combined
+with the nonempty cells of the next row only, never with an empty one, and
+each distinct pair of masks is worked out once per call, by one partner test
+per bit of the left mask (one partner per symbol in Dyck normal form).  It
+returns the masks in a read-only view, CYKTable, that maps each (i, j) to a
+set of nonterminal names but decodes a cell only when that cell is read.
+member and the tree walks test bits of the masks themselves, so they decode
+nothing.
 
 extract_tree, all_trees and count_trees read a word's one parse forest
 through one bottom-up evaluation (_evaluate) over an explicit stack, so
@@ -28,6 +30,7 @@ from collections.abc import Mapping
 from .grammar import GrammarError, ResourceLimitError
 
 DEFAULT_TREE_CAP = 100_000
+_NOT_CNF = "CYK needs a grammar in Chomsky normal form"
 
 
 class NotAMemberError(ValueError):
@@ -70,38 +73,50 @@ class CYKTable(Mapping):
 def build_table(g, w):
     """The recognition table of w, 1-based, as a CYKTable view.
 
-    Masks are indexed by Grammar._cnf_index.  Each row keeps the list of
-    its nonempty cells, so a split whose left cell is empty costs nothing.
+    Masks are indexed by Grammar._cnf_index.  Rows fill from the last up,
+    each left to right; a cell is final when the loop reaches it, and is
+    then pushed into every cell it can be the left half of, by combining
+    it with each nonempty cell of the next row.  So only pairs of nonempty
+    cells are combined, and each distinct pair of masks once per call.
     """
     index = g._cnf_index
     if index is None:
-        raise GrammarError("CYK needs a grammar in Chomsky normal form")
+        raise GrammarError(_NOT_CNF)
     _, _, by_terminal, by_left = index
     n = len(w)
     rows = [[0] * n for _ in range(n)]  # rows[i][j]: the mask of w[i..j]
-    filled = [[] for _ in range(n)]  # filled[i]: (l + 1, rows[i][l]) if != 0
-    for i, ch in enumerate(w):
-        mask = rows[i][i] = by_terminal.get(ch, 0)
-        if mask:
-            filled[i].append((i + 1, mask))
-    for span in range(1, n):
-        for i in range(n - span):
-            j = i + span
-            acc = 0
-            for k, left in filled[i]:
-                right = rows[k][j]
-                if not right:
-                    continue
-                while left:
-                    low = left & -left
-                    left ^= low
-                    for partner, heads in by_left.get(low, ()):
-                        if right & partner:
-                            acc |= heads
-            if acc:
-                rows[i][j] = acc
-                filled[i].append((j + 1, acc))
+    filled = [[] for _ in range(n + 1)]  # filled[i]: (j, rows[i][j]) if != 0
+    products = {}  # left mask -> {right mask -> _product(by_left, ...)}
+    for i in range(n - 1, -1, -1):
+        row, cells = rows[i], filled[i]
+        row[i] = by_terminal.get(w[i], 0)
+        for k in range(i, n):
+            left = row[k]
+            if not left:
+                continue
+            cells.append((k, left))
+            known = products.get(left)
+            if known is None:
+                known = products[left] = {}
+            for j, right in filled[k + 1]:
+                heads = known.get(right)
+                if heads is None:
+                    heads = known[right] = _product(by_left, left, right)
+                row[j] |= heads
     return CYKTable(index, w, rows)
+
+
+def _product(by_left, left, right):
+    """The heads of the rules B C with B in left and C in right, as a mask:
+    one partner test per bit of left."""
+    heads = 0
+    while left:
+        low = left & -left
+        left ^= low
+        for partner, found in by_left.get(low, ()):
+            if right & partner:
+                heads |= found
+    return heads
 
 
 def _names(names, mask):
@@ -120,7 +135,12 @@ def member(g, w):
 
 
 def _parse_table(g, w, table=None):
-    """The table of w when g derives it, else None."""
+    """The table of w when g derives it, else None.
+
+    A grammar not in Chomsky normal form is refused whatever the word.
+    """
+    if g._cnf_index is None:
+        raise GrammarError(_NOT_CNF)
     if table is not None:
         _check_table(g, w, table)
     if not w or any(not g.is_terminal(ch) for ch in w):

@@ -11,6 +11,7 @@ import hashlib
 import inspect
 import itertools
 import pickle
+import random
 import re
 import sys
 from collections.abc import Mapping
@@ -19,7 +20,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dycknf as d
-from dycknf.corpus import corpus_grammars, random_cnf_grammar
+from dycknf.corpus import (corpus_grammars, random_cnf_grammar,
+                           random_elin_members)
 
 
 def test_member_basics(expr_cnf):
@@ -31,8 +33,11 @@ def test_member_basics(expr_cnf):
 
 
 def test_member_needs_cnf(expr):
-    with pytest.raises(d.GrammarError):
-        d.member(expr, "a")
+    # refused whatever the word: empty, outside the alphabet, or a member
+    for parse in (d.member, d.extract_tree, d.all_trees, d.count_trees):
+        for w in ("", "x", "a"):
+            with pytest.raises(d.GrammarError, match="Chomsky normal form"):
+                parse(expr, w)
 
 
 def test_member_agrees_with_enumeration(expr_cnf):
@@ -168,6 +173,32 @@ def test_walker_output_is_pinned(expr_cnf):
                 words += 1
     assert words == 2501
     assert digest.hexdigest() == WALKER_DIGEST
+
+
+def test_dense_tables_match_the_scan(expr_converted, elin_converted,
+                                     scan_table):
+    """Long members, where many cells are full and mask pairs recur, with
+    the grammars interleaved so that state kept between calls would show."""
+    rng = random.Random("dense-tables")
+    expression = [(expr_converted[0],
+                   "a" + "".join(rng.choice("*+") + "a" for _ in range(n)))
+                  for n in (16, 32, 16, 32)]
+    elin = []
+    for k, (g, gd, _) in enumerate(elin_converted):
+        w = random_elin_members(g, 200, 33, seed=k)[-1]  # the longest
+        assert len(w) > 20 and d.member(gd, w)
+        elin.append((gd, w))
+    full = d.parse_grammar("start: S\nS -> S_ S_\nS_ -> S_ S_ | 'a'")
+    # the same symbols, so the same masks, but other products of them
+    twin = d.parse_grammar("start: S\nS -> S_ S_\nS_ -> S S_ | 'a'")
+    small = [(full, "a" * 24), (twin, "a" * 24)]
+    for case in itertools.zip_longest(expression, elin, small):
+        for g, w in filter(None, case):
+            table = d.build_table(g, w)
+            assert table == scan_table(g, w)
+            if g is full:
+                assert all(table.values())  # no cell is empty
+            assert d.member(g, w)
 
 
 def test_table_view_contract(expr_cnf, scan_table):
