@@ -42,9 +42,8 @@ class CYKTable(Mapping):
 
     A read-only view of the masks build_table filled: each read decodes its
     cell into a fresh set, and iteration runs row-major over 1 <= i <= j <=
-    n, like the dict of every cell.  It records the word and the grammar
-    index it was built from, so that a walk handed a table can refuse one
-    built for another word or grammar.
+    n, like the dict of every cell.  It keeps the word and the grammar
+    index it was built from, which the tree walks read with the masks.
     """
 
     __slots__ = ("word", "_index", "_rows")
@@ -134,42 +133,27 @@ def member(g, w):
     return _parse_table(g, w) is not None
 
 
-def _parse_table(g, w, table=None):
+def _parse_table(g, w):
     """The table of w when g derives it, else None.
 
     A grammar not in Chomsky normal form is refused whatever the word.
     """
     if g._cnf_index is None:
         raise GrammarError(_NOT_CNF)
-    if table is not None:
-        _check_table(g, w, table)
     if not w or any(not g.is_terminal(ch) for ch in w):
         return None
-    if table is None:
-        table = build_table(g, w)
+    table = build_table(g, w)
     start = table._index[1].get(g.start, 0)
     return table if table._rows[0][-1] & start else None
 
 
-def _check_table(g, w, table):
-    """ValueError unless table is what build_table(g, w) returns."""
-    if not isinstance(table, CYKTable):
-        raise ValueError("table= takes a table from build_table, not a "
-                         f"{type(table).__name__}")
-    if table._index != g._cnf_index:
-        raise ValueError("table= was built for another grammar")
-    if table.word != w:
-        raise ValueError(f"table= was built for {table.word!r}, not {w!r}")
-
-
-def extract_tree(g, w, table=None):
+def extract_tree(g, w):
     """The canonical parse tree of w, or NotAMemberError.
 
     Ties break on the smallest split point first, then on rule declaration
-    order, so repeated calls (and golden tests) always agree.  A table
-    passed in must be build_table(g, w)'s, else ValueError.
+    order, so repeated calls (and golden tests) always agree.
     """
-    table = _parse_table(g, w, table)
+    table = _parse_table(g, w)
     if table is None:
         raise NotAMemberError(f"{w!r} is not in the language")
 
@@ -267,15 +251,12 @@ def _alternatives(rules, table, i, j, first):
     return found
 
 
-def format_table(g, w, table=None):
-    """Row-major text dump of the table, for debugging and the test suite.
+def format_table(g, w):
+    """Row-major text dump of w's table, for debugging and the test suite.
 
     Each cell lists its nonterminals in declaration order.
     """
-    if table is None:
-        table = build_table(g, w)
-    else:
-        _check_table(g, w, table)
+    table = build_table(g, w)
     names = table._index[0]
     lines = []
     for i, row in enumerate(table._rows, 1):

@@ -28,7 +28,8 @@ import re
 
 from .cyk import DEFAULT_TREE_CAP, all_trees
 from .enumeration import DEFAULT_WORD_CAP, enumerate_words
-from .grammar import GrammarError, pairing_of, validate_tree
+from .grammar import (GrammarError, leftmost_derivation, pairing_of,
+                      validate_tree)
 
 
 class TraceUndefinedError(ValueError):
@@ -188,20 +189,14 @@ def trace_word(g, tree):
 
     Defined only for trees with at least three rule applications; a
     one-step derivation (start straight to a terminal) has no trace and
-    raises TraceUndefinedError.
+    raises TraceUndefinedError.  The tree is validated against g first, and
+    that one walk yields the labels.
     """
-    validate_tree(g, tree)
-    internal = []
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if not isinstance(node, str):
-            internal.append(node[0])
-            stack.extend(reversed(node[1]))
-    if len(internal) < 3:
+    labels = validate_tree(g, tree)
+    if len(labels) < 3:
         raise TraceUndefinedError(
-            f"derivation has {len(internal)} step(s); traces need at least 3")
-    return tuple(internal[1:])
+            f"derivation has {len(labels)} step(s); traces need at least 3")
+    return tuple(labels[1:])
 
 
 def trace_from_rewriting(g, tree):
@@ -210,8 +205,6 @@ def trace_from_rewriting(g, tree):
     Independent route for trace_word: runs the sentential-form rewriting and
     collects which nonterminal each step after the first rewrites.
     """
-    from .grammar import leftmost_derivation
-
     steps = leftmost_derivation(g, tree)
     if len(steps) < 3:
         raise TraceUndefinedError(
@@ -246,18 +239,20 @@ def trace_as_brackets(g, trace):
     return encode_trace(pair_code(pairing_of(g)), trace)
 
 
-def trace_language(g, max_word_len, tree_cap=DEFAULT_TREE_CAP,
-                   word_cap=DEFAULT_WORD_CAP):
+def trace_language(g, max_word_len):
     """Traces of every parse tree of every derivable word up to a length.
 
     One enumeration of the language; one-letter words have no trace and
-    contribute nothing here (the phi module's extension covers them).
+    contribute nothing here (the phi module's extension covers them).  The
+    enumeration stores at most DEFAULT_WORD_CAP words, and each word at most
+    DEFAULT_TREE_CAP parse subtrees, else ResourceLimitError.
     """
-    return _traces_of(g, enumerate_words(g, max_word_len, cap=word_cap),
-                      tree_cap)
+    return _traces_of(g, enumerate_words(g, max_word_len,
+                                         cap=DEFAULT_WORD_CAP))
 
 
-def _traces_of(g, words, tree_cap):
-    """The set of traces of every parse tree of every word in `words`."""
+def _traces_of(g, words):
+    """The set of traces of every parse tree of every word in `words`,
+    each word's trees capped at DEFAULT_TREE_CAP stored subtrees."""
     return {trace_word(g, t) for w in words if len(w) > 1
-            for t in all_trees(g, w, cap=tree_cap)}
+            for t in all_trees(g, w, cap=DEFAULT_TREE_CAP)}

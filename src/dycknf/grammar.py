@@ -169,8 +169,9 @@ def _strip_comment(line):
     return _CODE.match(line).group()
 
 
-def parse_grammar(text, max_rhs_len=DEFAULT_MAX_RHS):
-    """Parse grammar text.  Raises ParseError with line/col on bad input."""
+def parse_grammar(text):
+    """Parse grammar text.  Raises ParseError with line/col on bad input,
+    a rule body longer than DEFAULT_MAX_RHS symbols included."""
     start = None
     # (lhs, rhs_tokens, line, col) where rhs tokens are ('t'|'n', name)
     raw_rules = []
@@ -205,10 +206,10 @@ def parse_grammar(text, max_rhs_len=DEFAULT_MAX_RHS):
             declared.add(lhs)
             declared_order.append(lhs)
         for tokens in _tokenize_rhs(rhs_text, lineno, len(lhs_text) + 3):
-            if len(tokens) > max_rhs_len:
+            if len(tokens) > DEFAULT_MAX_RHS:
                 raise ParseError(
                     f"rule body has {len(tokens)} symbols, limit is "
-                    f"{max_rhs_len}", lineno, 1)
+                    f"{DEFAULT_MAX_RHS}", lineno, 1)
             raw_rules.append((lhs, tokens, lineno))
 
     if start is None:
@@ -467,24 +468,23 @@ def tree_label(tree):
     return tree if isinstance(tree, str) else tree[0]
 
 
-def validate_tree(g, tree, root=None):
-    """Check a parse tree applies only rules of g; raise GrammarError if not."""
-    if root is None:
-        root = g.start
+def validate_tree(g, tree):
+    """Check that a parse tree of g's start symbol applies only rules of g.
+
+    Raises GrammarError if not.  Returns the tree's internal labels in
+    preorder (depth first, left to right), the root first.
+    """
     if isinstance(tree, str):
         raise GrammarError(f"root of a parse tree must be a nonterminal node,"
                            f" got leaf {tree!r}")
-    label, children = tree
-    if label != root:
-        raise GrammarError(f"tree root is {label}, expected {root}")
-    _validate_node(g, tree)
-
-
-def _validate_node(g, node):
+    label, _ = tree
+    if label != g.start:
+        raise GrammarError(f"tree root is {label}, expected {g.start}")
     # preorder over an explicit stack, so deep trees cannot exhaust recursion
     heads = g._heads
     terminals = g._t_set
-    stack = [node]
+    labels = []
+    stack = [tree]
     while stack:
         node = stack.pop()
         if not isinstance(node, tuple):
@@ -499,7 +499,9 @@ def _validate_node(g, node):
         else:
             raise GrammarError(f"tree applies {Rule(label, rhs)}, "
                                f"which is not a rule of the grammar")
+        labels.append(label)
         stack.extend(reversed(children))
+    return labels
 
 
 def leftmost_derivation(g, tree):

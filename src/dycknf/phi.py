@@ -36,7 +36,6 @@ from .grammar import (
     is_dyck_nf,
     pairing_of,
 )
-from .cyk import DEFAULT_TREE_CAP
 
 
 # ---- pair classification ----
@@ -191,16 +190,16 @@ class CharacterizationReport:
         return "\n".join(lines)
 
 
-def verify_characterization(g, max_len, word_cap=DEFAULT_WORD_CAP,
-                            tree_cap=DEFAULT_TREE_CAP):
+def verify_characterization(g, max_len):
     """Check that phi maps the trace set onto exactly L(g), up to max_len.
 
     Every derivable word of length 2..max_len must be the phi-image of some
     trace, every one-letter word the image of its extension pair, no trace
     may map outside the language, and every trace (as a bracket word over
     the extended pairing) must pass the one-sided Dyck membership check.
-    One enumeration of the language yields both the words and the traces.
-    Raises ValueError for max_len below 1.
+    One enumeration of the language, capped at DEFAULT_WORD_CAP stored
+    words, yields both the words and the traces, which are capped like
+    trace_language's.  Raises ValueError for max_len below 1.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be at least 1, got {max_len}")
@@ -208,9 +207,9 @@ def verify_characterization(g, max_len, word_cap=DEFAULT_WORD_CAP,
     phi = build_phi(ext)
     code = bracket_code(ext)
 
-    words = enumerate_words(g, max_len, cap=word_cap)  # length-lex order
+    words = enumerate_words(g, max_len, cap=DEFAULT_WORD_CAP)  # length-lex
     language = set(words)
-    dprime = _traces_of(g, words, tree_cap)
+    dprime = _traces_of(g, words)
     dprime |= {(left, right) for left, right, _ in ext.new_pairs}
 
     images, extra, not_dyck = set(), [], []

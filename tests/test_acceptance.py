@@ -10,6 +10,7 @@ the code agreeing with itself.
 from __future__ import annotations
 
 import itertools
+import random
 import time
 
 import dycknf as d
@@ -180,9 +181,12 @@ def test_criterion_08_characterization(capfd, dyck_corpus):
 
 # ---- 09: the recognizer agrees with the parse table ----
 
-def test_criterion_09_recognizer_agreement(capfd, elin_converted):
+def test_criterion_09_recognizer_agreement(capfd, elin_converted,
+                                           members_of_length):
     disagree = 0
     checked = 0
+    longest = 0
+    rng = random.Random("c9-mutants")
     for g, gd, _ in elin_converted:
         sigma = g.terminals
         exhaustive_len = 9 if len(sigma) <= 2 else 7
@@ -196,14 +200,25 @@ def test_criterion_09_recognizer_agreement(capfd, elin_converted):
         probes = set(members)
         probes.update(mutate_words(members, sigma, 80, seed="c9"))
         probes.update(random_words(sigma, 33, 40, seed="c9"))
+        # every length from 26 to 33 the grammar derives: members, and each
+        # with one letter rewritten (to a foreign letter over a one-letter
+        # alphabet)
+        for n in range(26, 34):
+            for w in members_of_length(g, n, 2, seed="c9"):
+                at = rng.randrange(n)
+                other = [c for c in sigma if c != w[at]] or ["#"]
+                probes.update((w, w[:at] + rng.choice(other) + w[at + 1:]))
         for w in probes:
             checked += 1
-            if d.recognize_atm(gd, w)[0] != d.member(gd, w):
+            is_member = d.member(gd, w)
+            if d.recognize_atm(gd, w)[0] != is_member:
                 disagree += 1
+            if is_member:
+                longest = max(longest, len(w))
     ok = disagree == 0 and len(elin_converted) >= 5
     _report(capfd, 9, "recognizer agreement", ok,
             f"{len(elin_converted)} grammars, {checked} words "
-            f"(exhaustive short + sampled to length 33), {disagree} "
+            f"(exhaustive short + sampled to length {longest}), {disagree} "
             f"disagreements")
 
 

@@ -12,7 +12,6 @@ import inspect
 import itertools
 import pickle
 import random
-import re
 import sys
 from collections.abc import Mapping
 
@@ -34,7 +33,8 @@ def test_member_basics(expr_cnf):
 
 def test_member_needs_cnf(expr):
     # refused whatever the word: empty, outside the alphabet, or a member
-    for parse in (d.member, d.extract_tree, d.all_trees, d.count_trees):
+    for parse in (d.member, d.extract_tree, d.all_trees, d.count_trees,
+                  d.format_table):
         for w in ("", "x", "a"):
             with pytest.raises(d.GrammarError, match="Chomsky normal form"):
                 parse(expr, w)
@@ -222,32 +222,6 @@ def test_table_view_contract(expr_cnf, scan_table):
     assert table[(1, 3)] == kept and kept
     with pytest.raises(TypeError):
         table[(1, 1)] = set()
-
-
-def test_table_of_another_word_or_grammar_is_refused(expr_cnf,
-                                                     expr_converted):
-    # a table for a+a would let a*a parse with E2 -> '*', a rule it lacks
-    for table, reason in (
-            (d.build_table(expr_cnf, "a+a"), "built for 'a+a', not 'a*a'"),
-            (d.build_table(expr_converted[0], "a*a"), "another grammar")):
-        for read in (d.extract_tree, d.format_table):
-            with pytest.raises(ValueError, match=re.escape(reason)):
-                read(expr_cnf, "a*a", table=table)
-    same = d.parse_grammar(d.serialize(expr_cnf))
-    table = d.build_table(same, "a*a")
-    assert (d.extract_tree(expr_cnf, "a*a", table=table)
-            == d.extract_tree(expr_cnf, "a*a"))
-    assert d.format_table(expr_cnf, "a*a", table) == d.format_table(
-        expr_cnf, "a*a")
-
-
-def test_table_not_from_build_table_is_refused(expr_cnf, scan_table):
-    words = ("a*a", "aa", "")
-    for table in ({}, scan_table(expr_cnf, "a*a")):
-        for w in words:
-            for read in (d.extract_tree, d.format_table):
-                with pytest.raises(ValueError, match="from build_table"):
-                    read(expr_cnf, w, table=table)
 
 
 def test_format_table(expr_cnf):

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import dycknf as d
 from dycknf.corpus import random_cnf_grammar, random_words
+from dycknf.grammar import DEFAULT_MAX_RHS
 
 
 # ---- parsing and serialization ----
@@ -49,9 +50,10 @@ def test_parse_errors_carry_position():
 
 def test_rhs_length_bound():
     long_rhs = " ".join("'a'" for _ in range(9))
-    with pytest.raises(d.ParseError):
+    with pytest.raises(d.ParseError, match="limit is 8"):
         d.parse_grammar(f"start: S\nS -> {long_rhs}")
-    assert d.parse_grammar(f"start: S\nS -> {long_rhs}", max_rhs_len=9)
+    at_limit = " ".join("'a'" for _ in range(DEFAULT_MAX_RHS))
+    assert d.parse_grammar(f"start: S\nS -> {at_limit}")
 
 
 def test_serialize_round_trip(expr, expr_cnf, expr_dyck_expected):
@@ -145,10 +147,14 @@ def test_pairing_of(expr_dyck_expected):
 def test_tree_utilities(expr_cnf):
     tree = d.extract_tree(expr_cnf, "a+a")
     assert d.tree_yield(tree) == "a+a"
-    d.validate_tree(expr_cnf, tree)
+    # the preorder internal labels, read here off the rewriting instead
+    assert d.validate_tree(expr_cnf, tree) == [
+        r.lhs for r in d.leftmost_derivation(expr_cnf, tree)]
     bad = ("E0", (("E", ("a",)), ("E1", ("+",))))
     with pytest.raises(d.GrammarError):
         d.validate_tree(expr_cnf, bad)
+    with pytest.raises(d.GrammarError, match="expected E0"):
+        d.validate_tree(expr_cnf, ("E", ("a",)))
 
 
 def test_deep_tree_needs_no_recursion():

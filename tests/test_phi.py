@@ -110,6 +110,24 @@ def test_characterization_refuses_max_len_below_one(expr_converted):
             d.verify_characterization(gd, bad)
 
 
+@pytest.mark.parametrize("module, cap, counter, checks", [
+    (dycknf.dyck, "DEFAULT_TREE_CAP", "parse subtrees",
+     (d.trace_language, d.verify_characterization)),
+    (dycknf.dyck, "DEFAULT_WORD_CAP", "stored words", (d.trace_language,)),
+    (dycknf.phi, "DEFAULT_WORD_CAP", "stored words",
+     (d.verify_characterization,)),
+])
+def test_trace_path_caps_bite(expr_converted, monkeypatch, module, cap,
+                              counter, checks):
+    gd, _ = expr_converted
+    # the parse tree of a*a alone stores five subtrees, and the enumeration
+    # stores words for every nonterminal
+    monkeypatch.setattr(module, cap, 3)
+    for check in checks:
+        with pytest.raises(d.ResourceLimitError, match=counter):
+            check(gd, 5)
+
+
 # sha256 of the reports and trace sets below; any change to a report field,
 # a list order or a trace changes it
 CHARACTERIZATION_DIGEST = ("18c68d0c734b82c67c8805fa61f1c68a"
