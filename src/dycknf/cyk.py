@@ -243,9 +243,9 @@ def _alternatives(rules, table, i, j, first):
         if not (left and right):
             continue
         for r in rules:
-            if (len(r.rhs) == 2 and left & bit[r.rhs[0]]
-                    and right & bit[r.rhs[1]]):
-                found.append(((r.rhs[0], i, l), (r.rhs[1], l + 1, j)))
+            rhs = r.rhs
+            if len(rhs) == 2 and left & bit[rhs[0]] and right & bit[rhs[1]]:
+                found.append(((rhs[0], i, l), (rhs[1], l + 1, j)))
                 if first:
                     return found
     return found

@@ -47,18 +47,19 @@ def derivable_words(g, max_len, cap=DEFAULT_WORD_CAP):
         while dirty is None or dirty:
             current, dirty = dirty, set()
             for r in g.rules:
-                if current is not None and not any(
-                        s in current for s in r.rhs):
+                rhs = r.rhs
+                if current is not None and not any(s in current for s in rhs):
                     continue
-                new = _compose(g, table, r.rhs, n) - table[r.lhs][n]
+                lhs = r.lhs
+                new = _compose(g, table, rhs, n) - table[lhs][n]
                 if new:
-                    table[r.lhs][n] |= new
+                    table[lhs][n] |= new
                     stored += len(new)
                     if stored > cap:
                         raise ResourceLimitError(
                             f"enumeration exceeded {cap} stored words "
                             f"(grammar {g!r}, max_len {max_len})")
-                    dirty.add(r.lhs)
+                    dirty.add(lhs)
     return table
 
 

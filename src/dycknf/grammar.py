@@ -29,8 +29,10 @@ Tuples keep trees hashable, which the tree-enumeration code relies on.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
+from operator import attrgetter
+from typing import NamedTuple
 
 
 class GrammarError(ValueError):
@@ -50,9 +52,12 @@ class ResourceLimitError(RuntimeError):
     """An exhaustive computation outgrew its configured budget."""
 
 
-@dataclass(frozen=True)
-class Rule:
-    """One production.  rhs is a tuple of symbol names; () is a lambda rule."""
+class Rule(NamedTuple):
+    """One production.  rhs is a tuple of symbol names; () is a lambda rule.
+
+    A Rule is the plain tuple (lhs, rhs) with named, read-only fields: it
+    equals that tuple and hashes like it, and both run in C.
+    """
 
     lhs: str
     rhs: tuple
@@ -158,28 +163,32 @@ class Grammar:
 # ---- text format ----
 
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_TOKEN = re.compile(r"'([^\n])'|([A-Za-z][A-Za-z0-9_]*)|(\S)")
+# a right-hand side's tokens: a quoted terminal, a name, or any other
+# visible character ('|' among them)
+_TOKEN = re.compile(r"'[^\n]'|[A-Za-z][A-Za-z0-9_]*|\S")
 # a line up to its comment: '#' starts one anywhere outside a quoted terminal
 _CODE = re.compile(r"(?:'[^\n]'|[^#])*")
 
 DEFAULT_MAX_RHS = 8
 
 
-def _strip_comment(line):
-    return _CODE.match(line).group()
-
-
 def parse_grammar(text):
-    """Parse grammar text.  Raises ParseError with line/col on bad input,
-    a rule body longer than DEFAULT_MAX_RHS symbols included."""
-    start = None
-    # (lhs, rhs_tokens, line, col) where rhs tokens are ('t'|'n', name)
-    raw_rules = []
-    declared_order = []
-    declared = set()
+    """Parse grammar text into a Grammar.
 
+    Raises ParseError with the line and column of the offense: where the
+    bad token starts; for an over-long body or a repeated rule, where its
+    alternative starts; for an empty alternative, just after the '->' or
+    '|' that opens it.  Every line's start declaration or rule head is read
+    first, then the start symbol is checked, then the bodies are read token
+    by token.  A text with several errors reports the first in that order,
+    so an error in a body comes after any head or start symbol error.
+    """
+    start = None
+    heads = {}    # nonterminal -> None, in the order of their first rules
+    bodies = []   # (head, body text, line, column where the body starts)
     for lineno, line in enumerate(text.split("\n"), start=1):
-        line = _strip_comment(line)
+        if "#" in line:
+            line = _CODE.match(line).group()
         stripped = line.strip()
         if not stripped:
             continue
@@ -192,96 +201,87 @@ def parse_grammar(text):
                 raise ParseError(f"bad start symbol {name!r}", lineno, 1)
             start = name
             continue
-        if "->" not in line:
+        lhs_text, arrow, rhs = line.partition("->")
+        if not arrow:
             raise ParseError("expected 'start:' or a rule with '->'",
                              lineno, 1)
-        lhs_text, rhs_text = line.split("->", 1)
         lhs = lhs_text.strip()
-        if not _IDENT.fullmatch(lhs):
-            raise ParseError(f"bad rule head {lhs!r}", lineno, 1)
-        if lhs == "eps":
-            raise ParseError("'eps' is reserved and cannot name a nonterminal",
-                             lineno, 1)
-        if lhs not in declared:
-            declared.add(lhs)
-            declared_order.append(lhs)
-        for tokens in _tokenize_rhs(rhs_text, lineno, len(lhs_text) + 3):
-            if len(tokens) > DEFAULT_MAX_RHS:
+        if lhs not in heads:
+            if not _IDENT.fullmatch(lhs):
+                raise ParseError(f"bad rule head {lhs!r}", lineno, 1)
+            if lhs == "eps":
                 raise ParseError(
-                    f"rule body has {len(tokens)} symbols, limit is "
-                    f"{DEFAULT_MAX_RHS}", lineno, 1)
-            raw_rules.append((lhs, tokens, lineno))
+                    "'eps' is reserved and cannot name a nonterminal",
+                    lineno, 1)
+            heads[lhs] = None
+        bodies.append((lhs, rhs, lineno, len(lhs_text) + 3))
 
     if start is None:
         raise ParseError("missing 'start:' declaration", 1, 1)
-    if start not in declared:
+    if start not in heads:
         raise ParseError(f"start symbol {start!r} has no rules", 1, 1)
 
-    terminals = []
-    seen_terminals = set()
+    terminals = {}
     rules = []
-    seen_rules = set()
-    for lhs, tokens, lineno in raw_rules:
-        rhs = []
-        for kind, name, col in tokens:
-            if kind == "n":
-                if name not in declared:
-                    raise ParseError(f"undeclared symbol {name!r}", lineno,
-                                     col)
-            else:
-                if name in declared:
+    seen = set()
+    for lhs, rhs, lineno, col in bodies:
+        rhs += " |"   # so a '|' ends every alternative, the last one too
+        body = []
+        first = 0     # the index of the alternative's first token
+        eps = None    # the index of its first 'eps'
+        for i, tok in enumerate(_TOKEN.findall(rhs)):
+            if tok in heads:
+                body.append(tok)
+            elif tok == "|":
+                if eps is not None and len(body) > 1:
+                    raise ParseError(
+                        "'eps' cannot be mixed with other symbols", lineno,
+                        col + _offset(rhs, eps))
+                if not body:
+                    raise ParseError(
+                        "empty alternative (write 'eps' for a lambda rule)",
+                        lineno,
+                        col + (_offset(rhs, first - 1) + 1 if first else 0))
+                if len(body) > DEFAULT_MAX_RHS:
+                    raise ParseError(
+                        f"rule body has {len(body)} symbols, limit is "
+                        f"{DEFAULT_MAX_RHS}", lineno,
+                        col + _offset(rhs, first))
+                rule = Rule(lhs, () if eps is not None else tuple(body))
+                if rule in seen:
+                    raise ParseError(f"duplicate rule {rule}", lineno,
+                                     col + _offset(rhs, first))
+                seen.add(rule)
+                rules.append(rule)
+                body = []
+                first = i + 1
+                eps = None
+            elif tok[0] == "'" and len(tok) == 3:
+                name = tok[1]
+                if name in heads:
                     raise ParseError(
                         f"terminal {name!r} collides with a nonterminal of "
-                        f"the same name", lineno, col)
-                if name not in seen_terminals:
-                    seen_terminals.add(name)
-                    terminals.append(name)
-            rhs.append(name)
-        rule = Rule(lhs, tuple(rhs))
-        if rule in seen_rules:
-            raise ParseError(f"duplicate rule {rule}", lineno, 1)
-        seen_rules.add(rule)
-        rules.append(rule)
+                        f"the same name", lineno, col + _offset(rhs, i))
+                if name not in terminals:
+                    terminals[name] = None
+                body.append(name)
+            elif tok == "eps":
+                if eps is None:
+                    eps = i
+                body.append(tok)
+            elif _IDENT.match(tok):
+                raise ParseError(f"undeclared symbol {tok!r}", lineno,
+                                 col + _offset(rhs, i))
+            else:
+                raise ParseError(f"unexpected character {tok!r}", lineno,
+                                 col + _offset(rhs, i))
 
-    return Grammar(declared_order, terminals, start, rules)
-
-
-def _tokenize_rhs(rhs, lineno, base_col):
-    """A right-hand side's alternatives, each a list of (kind, name, col).
-
-    kind is 't' or 'n'.  The whole side is tokenized before it is split on
-    bare '|' tokens, so the quoted terminal '|' stays a terminal.
-    """
-    alts = [[]]
-    alt_cols = [base_col]
-    for m in _TOKEN.finditer(rhs):
-        col = base_col + m.start()
-        if m.lastindex == 1:
-            alts[-1].append(("t", m.group(1), col))
-        elif m.lastindex == 2:
-            alts[-1].append(("n", m.group(2), col))
-        elif m.group(3) == "|":
-            alts.append([])
-            alt_cols.append(col + 1)
-        else:
-            raise ParseError(f"unexpected character {m.group(3)!r}", lineno,
-                             col)
-    return [_check_alt(tokens, lineno, col)
-            for tokens, col in zip(alts, alt_cols)]
+    return Grammar(heads, terminals, start, rules)
 
 
-def _check_alt(tokens, lineno, col):
-    """An alternative's tokens, or [] for the lone word 'eps'."""
-    if len(tokens) == 1 and tokens[0][1] == "eps" and tokens[0][0] == "n":
-        return []
-    for kind, name, tcol in tokens:
-        if kind == "n" and name == "eps":
-            raise ParseError("'eps' cannot be mixed with other symbols",
-                             lineno, tcol)
-    if not tokens:
-        raise ParseError("empty alternative (write 'eps' for a lambda rule)",
-                         lineno, col)
-    return tokens
+def _offset(rhs, i):
+    """Where the i-th token of rhs starts, as an index into rhs."""
+    return list(_TOKEN.finditer(rhs))[i].start()
 
 
 def serialize(g):
@@ -292,8 +292,10 @@ def serialize(g):
     parse(serialize(g)) == g holds only when g lists its nonterminals in the
     order their first rules appear and its terminals in the order they first
     appear in rule bodies, with no unused terminal, as a parsed grammar does.
-    A nonterminal with no rules, or a body longer than parse_grammar's
-    DEFAULT_MAX_RHS limit, has no text form and raises GrammarError.
+    Each body symbol is written from one map: a nonterminal as its name, a
+    terminal quoted.  A nonterminal with no rules, a body longer than
+    parse_grammar's DEFAULT_MAX_RHS limit, or a body symbol g does not
+    declare has no text form and raises GrammarError.
     """
     heads = {r.lhs for r in g.rules}
     for nt in g.nonterminals:
@@ -305,22 +307,18 @@ def serialize(g):
             raise GrammarError(
                 f"cannot serialize: rule {r} has {len(r.rhs)} body symbols, "
                 f"more than DEFAULT_MAX_RHS={DEFAULT_MAX_RHS}")
+    text = {t: f"'{t}'" for t in g.terminals}
+    text.update((nt, nt) for nt in g.nonterminals)
     lines = [f"start: {g.start}"]
-    i = 0
-    while i < len(g.rules):
-        j = i
-        while j < len(g.rules) and g.rules[j].lhs == g.rules[i].lhs:
-            j += 1
-        alts = " | ".join(_render_rhs(g, r.rhs) for r in g.rules[i:j])
-        lines.append(f"{g.rules[i].lhs} -> {alts}")
-        i = j
+    try:
+        for lhs, rules in groupby(g.rules, attrgetter("lhs")):
+            alts = " | ".join(" ".join([text[s] for s in r.rhs]) or "eps"
+                              for r in rules)
+            lines.append(f"{lhs} -> {alts}")
+    except KeyError as e:
+        raise GrammarError(
+            f"cannot serialize: undeclared symbol {e.args[0]!r}") from None
     return "\n".join(lines) + "\n"
-
-
-def _render_rhs(g, rhs):
-    if not rhs:
-        return "eps"
-    return " ".join(s if g.is_nonterminal(s) else f"'{s}'" for s in rhs)
 
 
 def validate(g, allow_lambda=False):
@@ -493,10 +491,7 @@ def validate_tree(g, tree):
             continue
         label, children = node
         rhs = tuple(c if isinstance(c, str) else c[0] for c in children)
-        for r in heads.get(label, ()):
-            if r.rhs == rhs:
-                break
-        else:
+        if (label, rhs) not in heads.get(label, ()):
             raise GrammarError(f"tree applies {Rule(label, rhs)}, "
                                f"which is not a rule of the grammar")
         labels.append(label)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import gc
 import inspect
+import pickle
 import sys
 
 import pytest
@@ -33,19 +34,45 @@ def test_parse_lambda_spelling():
         d.validate(g)
 
 
-def test_parse_errors_carry_position():
-    with pytest.raises(d.ParseError) as e:
-        d.parse_grammar("start: S\nS -> 'a'\nS 'b'")
-    assert e.value.line == 3
+# one text per kind of ParseError: (text, message, line, col)
+PARSE_ERRORS = {
+    "duplicate start": ("start: S\n  start: S\nS -> 'a'",
+                        "duplicate start declaration", 2, 3),
+    "bad start symbol": ("start: 9S\nS -> 'a'", "bad start symbol '9S'", 1, 1),
+    "no arrow": ("start: S\nS -> 'a'\nS 'b'",
+                 "expected 'start:' or a rule with '->'", 3, 1),
+    "bad head": ("start: S\nS T -> 'a'", "bad rule head 'S T'", 2, 1),
+    "eps head": ("start: S\nS -> 'a'\neps -> 'b'",
+                 "'eps' is reserved and cannot name a nonterminal", 3, 1),
+    "missing start": ("S -> 'a'", "missing 'start:' declaration", 1, 1),
+    "start without rules": ("start: T\nS -> 'a'",
+                            "start symbol 'T' has no rules", 1, 1),
+    "undeclared symbol": ("start: S\n  S -> 'a' T  # T has no rules",
+                          "undeclared symbol 'T'", 2, 12),
+    "name collision": ("start: S\nS -> A 'A'\nA -> 'a'",
+                       "terminal 'A' collides with a nonterminal of the same "
+                       "name", 2, 8),
+    "unexpected character": ("start: S\nS -> 'a' ! 'b'",
+                             "unexpected character '!'", 2, 10),
+    "eps mixed": ("start: S\nS -> 'a' | 'b' eps",
+                  "'eps' cannot be mixed with other symbols", 2, 16),
+    "empty alternative": ("start: S\nS -> 'a' | | 'b'",
+                          "empty alternative (write 'eps' for a lambda rule)",
+                          2, 11),
+    # the offending alternative starts at column 12
+    "over-long body": ("start: S\nS -> 'a' | " + " ".join(["'a'"] * 9),
+                       "rule body has 9 symbols, limit is 8", 2, 12),
+    "duplicate rule": ("start: S\nS -> 'a'\nS -> 'b' | 'a'",
+                       "duplicate rule S -> a", 3, 12),
+}
 
-    for bad in ["S -> 'a'",                       # no start line
-                "start: S\nstart: S\nS -> 'a'",   # duplicate start
-                "start: S\nS -> T",               # undeclared symbol
-                "start: S\nS -> 'a'\nS -> 'a'",   # duplicate rule
-                "start: S\nS -> 'a' S\na -> 'a'",  # name collision
-                ]:
-        with pytest.raises(d.GrammarError):
-            d.parse_grammar(bad)
+
+def test_parse_errors_carry_position():
+    for kind, (text, message, line, col) in PARSE_ERRORS.items():
+        with pytest.raises(d.ParseError) as e:
+            d.parse_grammar(text)
+        assert (str(e.value), e.value.line, e.value.col) == (
+            f"line {line}, col {col}: {message}", line, col), kind
 
 
 def test_rhs_length_bound():
@@ -68,6 +95,9 @@ def test_serialize_refuses_what_parse_would_reject():
         d.serialize(g)
     assert not isinstance(exc.value, d.ParseError)
     assert "S -> a a a a a a a a a" in str(exc.value)
+    undeclared = d.Grammar(["S"], ["a"], "S", [d.Rule("S", ("a", "b"))])
+    with pytest.raises(d.GrammarError, match="undeclared symbol 'b'"):
+        d.serialize(undeclared)
 
 
 def test_serialize_round_trip_needs_first_use_order():
@@ -112,6 +142,17 @@ def test_serialize_round_trip_every_terminal(letters):
                    d.Rule("A0", (first, "A0", last))])
     d.validate(g)
     assert d.parse_grammar(d.serialize(g)) == g
+
+
+def test_rule_is_a_plain_pair():
+    r = d.Rule("S", ("A", "B"))
+    assert r == ("S", ("A", "B")) and hash(r) == hash(("S", ("A", "B")))
+    assert str(r) == "S -> A B" and str(d.Rule("S", ())) == "S -> eps"
+    assert repr(r) == "Rule(lhs='S', rhs=('A', 'B'))"
+    with pytest.raises(AttributeError):
+        r.lhs = "T"
+    back = pickle.loads(pickle.dumps(r))
+    assert back == r and type(back) is d.Rule
 
 
 # ---- normal form predicates ----
