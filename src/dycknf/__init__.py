@@ -13,6 +13,8 @@ tree walk vs rewriting, conversion vs parse-table comparison) and the test
 suite holds the routes against each other.
 """
 
+from types import ModuleType as _ModuleType
+
 from .grammar import (
     Grammar,
     GrammarError,
@@ -25,7 +27,6 @@ from .grammar import (
     is_cnf,
     is_dyck_nf,
     leftmost_derivation,
-    derivation_forms,
     pairing_of,
     parse_grammar,
     serialize,
@@ -41,7 +42,6 @@ from .cyk import (
     build_table,
     count_trees,
     extract_tree,
-    format_table,
     member,
 )
 from .normal_forms import (
@@ -60,10 +60,8 @@ from .dyck import (
     in_dk_lemma,
     in_dk_stack,
     is_balanced,
-    h_projection,
     matched,
     nested,
-    pair_projection,
     parse_dyck_text,
     reducible,
     render_dyck_word,
@@ -76,7 +74,6 @@ from .phi import (
     CharacterizationReport,
     ExtendedGrammar,
     apply_phi,
-    bracket_code,
     build_phi,
     extend_grammar,
     partition_nonterminals,
@@ -89,31 +86,11 @@ from .elin import (
     is_even_linear,
     iterated_division,
     recognize_atm,
-    recognizer_report,
-    trace_shape_check,
 )
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Grammar", "GrammarError", "ParseError", "ResourceLimitError", "Rule",
-    "dyck_nf_violations", "find_isomorphism", "fresh_name", "is_cnf",
-    "is_dyck_nf", "leftmost_derivation", "derivation_forms", "pairing_of",
-    "parse_grammar", "serialize", "tree_yield", "validate", "validate_tree",
-    "DEFAULT_WORD_CAP", "enumerate_words",
-    "DEFAULT_TREE_CAP", "NotAMemberError", "all_trees", "build_table",
-    "count_trees", "extract_tree", "format_table", "member",
-    "Substitution", "build_hd", "cleanup", "ledger_text", "map_tree",
-    "to_cnf", "to_dyck_nf", "verify_equivalence_matrices",
-    "with_fresh_start",
-    "TraceUndefinedError", "in_dk_lemma", "in_dk_stack", "is_balanced",
-    "h_projection", "matched", "nested", "pair_projection",
-    "parse_dyck_text", "reducible", "render_dyck_word", "trace_as_brackets",
-    "trace_from_rewriting", "trace_language", "trace_word",
-    "CharacterizationReport", "ExtendedGrammar", "apply_phi",
-    "bracket_code", "build_phi", "extend_grammar",
-    "partition_nonterminals", "verify_characterization",
-    "AlternationTrace", "PipelineShapeError", "elin_to_dyck_nf",
-    "is_even_linear", "iterated_division", "recognize_atm",
-    "recognizer_report", "trace_shape_check",
-]
+# the public names are exactly those the imports above bind (submodules,
+# which importing them binds too, and underscored names excepted)
+__all__ = [name for name, value in list(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

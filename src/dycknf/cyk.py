@@ -249,18 +249,3 @@ def _alternatives(rules, table, i, j, first):
                 if first:
                     return found
     return found
-
-
-def format_table(g, w):
-    """Row-major text dump of w's table, for debugging and the test suite.
-
-    Each cell lists its nonterminals in declaration order.
-    """
-    table = build_table(g, w)
-    names = table._index[0]
-    lines = []
-    for i, row in enumerate(table._rows, 1):
-        for j in range(i, len(w) + 1):
-            cell = _names(names, row[j - 1])
-            lines.append(f"{i},{j}: {{{', '.join(cell)}}}")
-    return "\n".join(lines) + "\n"

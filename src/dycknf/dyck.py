@@ -79,18 +79,6 @@ def is_balanced(word):
     return depth == 0
 
 
-def h_projection(word):
-    """Erase pair indices: every letter becomes +1 or -1."""
-    _check_word(word)
-    return tuple(1 if x > 0 else -1 for x in word)
-
-
-def pair_projection(word, k):
-    """Keep only pair k's letters, as a one-pair word of +1/-1."""
-    _check_word(word)
-    return tuple(1 if x > 0 else -1 for x in word if abs(x) == k)
-
-
 def in_dk_stack(word, k=None):
     """Pushdown membership check for D_k: closes must match the open top.
 
@@ -121,7 +109,8 @@ def in_dk_lemma(word, k=None):
     is balanced (projections that vanish inside the stretch count as
     balanced).  This never simulates a stack; it is the independent
     cross-check route for in_dk_stack.  Words shorter than 2 letters are
-    never members.
+    never members.  `k`, when given, rejects words mentioning pairs beyond
+    k, as in_dk_stack does.
     """
     _check_word(word)
     n = len(word)
@@ -130,7 +119,7 @@ def in_dk_lemma(word, k=None):
     if k is None:
         k = max(abs(x) for x in word)
     elif any(abs(x) > k for x in word):
-        raise ValueError(f"word mentions a pair beyond k={k}")
+        return False
 
     if not is_balanced(word):
         return False

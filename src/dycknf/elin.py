@@ -164,44 +164,6 @@ def elin_to_dyck_nf(g):
     return out, ledger
 
 
-# ---- trace shapes ----
-
-def trace_shape_check(word):
-    """Classify a bracket word against the two ladder trace shapes.
-
-    A ladder trace is: a times (matched two-letter pair, lone opener), then
-    for odd image words one extra matched pair, then the bottom matched
-    pair, then the lone openers' closers in reverse.  Returns "formA" (no
-    extra pair; the derived word has even length), "formB" (extra pair;
-    odd length) or "neither".
-    """
-    n = len(word)
-    if n < 2 or n % 2:
-        return "neither"
-    if n % 4 == 2:
-        form, a = "formA", (n - 2) // 4
-    else:
-        form, a = "formB", (n - 4) // 4
-    pos = 0
-    openers = []
-    for _ in range(a):
-        if not (word[pos] > 0 and word[pos + 1] == -word[pos]
-                and word[pos + 2] > 0):
-            return "neither"
-        openers.append(word[pos + 2])
-        pos += 3
-    blocks = 2 if form == "formB" else 1
-    for _ in range(blocks):
-        if not (word[pos] > 0 and word[pos + 1] == -word[pos]):
-            return "neither"
-        pos += 2
-    for o in reversed(openers):
-        if word[pos] != -o:
-            return "neither"
-        pos += 1
-    return form
-
-
 # ---- iterated division ----
 
 def iterated_division(p):
@@ -448,9 +410,3 @@ def recognize_atm(g, w):
         alternation_depth=_alt_depth(p, d), max_depth_seen=search.max_depth,
         space_cells=8 * _ceil_log2(n + 1) + search.max_held,
         nodes=search.nodes)
-
-
-def recognizer_report(g, w):
-    """recognize_atm, rendered as a small human-readable report."""
-    _, trace = recognize_atm(g, w)
-    return trace.render()

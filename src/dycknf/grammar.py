@@ -40,7 +40,12 @@ class GrammarError(ValueError):
 
 
 class ParseError(GrammarError):
-    """Bad grammar text.  Carries 1-based line and column of the offense."""
+    """Bad grammar text.  Carries 1-based line and column of the offense.
+
+    An error about the start symbol points at the `start:` of its
+    declaration.  A missing declaration has no place in the text, so it is
+    reported at line 1, col 1.
+    """
 
     def __init__(self, message, line, col):
         super().__init__(f"line {line}, col {col}: {message}")
@@ -75,7 +80,7 @@ class Grammar:
     built once, on first use, and cached on the instance:
 
       * `_heads`: head -> tuple of its rules in declaration order
-        (rules_for, has_rule, validate_tree and the CYK tree walks);
+        (rules_for, validate_tree and the CYK tree walks);
       * `_cnf_index`: None when the grammar is not in Chomsky normal form
         (is_cnf), else the bitsets the cyk module reads: the nonterminals
         in declaration order (bit k stands for the k-th), nonterminal ->
@@ -140,9 +145,6 @@ class Grammar:
     def rules_for(self, nt):
         return list(self._heads.get(nt, ()))
 
-    def has_rule(self, rule):
-        return rule in self._heads.get(rule.lhs, ())
-
     def __eq__(self, other):
         if not isinstance(other, Grammar):
             return NotImplemented
@@ -176,8 +178,9 @@ def parse_grammar(text):
     """Parse grammar text into a Grammar.
 
     Raises ParseError with the line and column of the offense: where the
-    bad token starts; for an over-long body or a repeated rule, where its
-    alternative starts; for an empty alternative, just after the '->' or
+    bad token starts; for a start symbol that is repeated, malformed or
+    without rules, where the `start:` of its declaration starts; for an
+    over-long body or a repeated rule, where its alternative starts; for an empty alternative, just after the '->' or
     '|' that opens it.  Every line's start declaration or rule head is read
     first, then the start symbol is checked, then the bodies are read token
     by token.  A text with several errors reports the first in that order,
@@ -193,13 +196,13 @@ def parse_grammar(text):
         if not stripped:
             continue
         if stripped.startswith("start:"):
+            at = (lineno, line.index("start:") + 1)
             if start is not None:
-                raise ParseError("duplicate start declaration", lineno,
-                                 line.index("start:") + 1)
+                raise ParseError("duplicate start declaration", *at)
             name = stripped[len("start:"):].strip()
             if not _IDENT.fullmatch(name):
-                raise ParseError(f"bad start symbol {name!r}", lineno, 1)
-            start = name
+                raise ParseError(f"bad start symbol {name!r}", *at)
+            start, start_at = name, at
             continue
         lhs_text, arrow, rhs = line.partition("->")
         if not arrow:
@@ -219,7 +222,7 @@ def parse_grammar(text):
     if start is None:
         raise ParseError("missing 'start:' declaration", 1, 1)
     if start not in heads:
-        raise ParseError(f"start symbol {start!r} has no rules", 1, 1)
+        raise ParseError(f"start symbol {start!r} has no rules", *start_at)
 
     terminals = {}
     rules = []
@@ -508,13 +511,6 @@ def leftmost_derivation(g, tree):
     """
     return [Rule(label, tuple(tree_label(c) for c in children))
             for (label, children), _ in _rewrite(g, tree)]
-
-
-def derivation_forms(g, tree):
-    """Sentential forms of the leftmost derivation, starting at (start,)."""
-    forms = [tuple(tree_label(x) for x in form)
-             for _, form in _rewrite(g, tree)]
-    return [(tree_label(tree),)] + forms
 
 
 def _rewrite(g, tree):

@@ -151,11 +151,6 @@ def apply_phi(phi, trace):
         raise GrammarError(f"trace letter {e.args[0]} has no phi image")
 
 
-def bracket_code(ext):
-    """Name -> signed pair index for the full (extended) pairing."""
-    return pair_code(ext.pairs)
-
-
 # ---- the desk-scale verification ----
 
 @dataclass
@@ -205,7 +200,7 @@ def verify_characterization(g, max_len):
         raise ValueError(f"max_len must be at least 1, got {max_len}")
     ext = extend_grammar(g)
     phi = build_phi(ext)
-    code = bracket_code(ext)
+    code = pair_code(ext.pairs)
 
     words = enumerate_words(g, max_len, cap=DEFAULT_WORD_CAP)  # length-lex
     language = set(words)

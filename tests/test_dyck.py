@@ -53,6 +53,7 @@ def test_routes_agree_exhaustively_small():
     for n in range(1, 7):
         for w in itertools.product((1, -1, 2, -2), repeat=n):
             assert d.in_dk_stack(w) == d.in_dk_lemma(w), w
+            assert d.in_dk_stack(w, k=1) == d.in_dk_lemma(w, k=1), w
 
 
 @given(st.integers(0, 10_000))
@@ -66,8 +67,7 @@ def test_k_bound_handling():
     w = brackets("[3 ]3")
     assert d.in_dk_stack(w, k=3)
     assert not d.in_dk_stack(w, k=2)
-    with pytest.raises(ValueError):
-        d.in_dk_lemma(w, k=2)
+    assert not d.in_dk_lemma(w, k=2)
     with pytest.raises(ValueError):
         d.in_dk_stack((0, 1))
 
@@ -77,9 +77,6 @@ def test_balance_and_projections():
     assert d.is_balanced(w)
     assert d.is_balanced(())
     assert not d.in_dk_stack(w)
-    assert d.h_projection(w) == (1, 1, -1, -1)
-    assert d.pair_projection(w, 1) == (1, -1)
-    assert d.pair_projection(w, 3) == ()
 
 
 # ---- matched / nested / reducible ----

@@ -17,6 +17,7 @@ from dycknf.corpus import (
     random_elin_members,
     random_words,
 )
+from dycknf.dyck import pair_code
 
 CANONICAL_DYCK = """
 start: S0
@@ -81,6 +82,42 @@ def test_pipeline_rejects_bad_input(expr):
 
 # ---- trace shapes ----
 
+def trace_shape_check(word):
+    """Classify a bracket word against the two ladder trace shapes.
+
+    A ladder trace is: a times (matched two-letter pair, lone opener), then
+    for odd image words one extra matched pair, then the bottom matched
+    pair, then the lone openers' closers in reverse.  Returns "formA" (no
+    extra pair; the derived word has even length), "formB" (extra pair;
+    odd length) or "neither".
+    """
+    n = len(word)
+    if n < 2 or n % 2:
+        return "neither"
+    if n % 4 == 2:
+        form, a = "formA", (n - 2) // 4
+    else:
+        form, a = "formB", (n - 4) // 4
+    pos = 0
+    openers = []
+    for _ in range(a):
+        if not (word[pos] > 0 and word[pos + 1] == -word[pos]
+                and word[pos + 2] > 0):
+            return "neither"
+        openers.append(word[pos + 2])
+        pos += 3
+    blocks = 2 if form == "formB" else 1
+    for _ in range(blocks):
+        if not (word[pos] > 0 and word[pos + 1] == -word[pos]):
+            return "neither"
+        pos += 2
+    for o in reversed(openers):
+        if word[pos] != -o:
+            return "neither"
+        pos += 1
+    return form
+
+
 def shapes_of(gd, max_len):
     code = {}
     for k, (left, right) in enumerate(d.pairing_of(gd), start=1):
@@ -91,7 +128,7 @@ def shapes_of(gd, max_len):
             continue
         for tree in d.all_trees(gd, w):
             tr = d.trace_word(gd, tree)
-            out.append((len(w), d.trace_shape_check(
+            out.append((len(w), trace_shape_check(
                 tuple(code[x] for x in tr))))
     return out
 
@@ -108,17 +145,17 @@ def test_trace_shapes_follow_word_parity(elin_converted):
 def test_trace_shape_of_extension_pairs():
     out, _ = d.elin_to_dyck_nf(canonical_elin_grammar())
     ext = d.extend_grammar(out)
-    code = d.bracket_code(ext)
+    code = pair_code(ext.pairs)
     for left, right, _ in ext.new_pairs:
-        assert d.trace_shape_check((code[left], code[right])) == "formA"
+        assert trace_shape_check((code[left], code[right])) == "formA"
 
 
 def test_trace_shape_rejects_non_ladders():
-    assert d.trace_shape_check(()) == "neither"
-    assert d.trace_shape_check((1, -1, 2)) == "neither"      # odd length
-    assert d.trace_shape_check((1, 2, -2, -1)) == "neither"  # plain nesting
-    assert d.trace_shape_check((1, -2)) == "neither"
-    assert d.trace_shape_check((1, -1, 2, 3, -3, -1)) == "neither"
+    assert trace_shape_check(()) == "neither"
+    assert trace_shape_check((1, -1, 2)) == "neither"      # odd length
+    assert trace_shape_check((1, 2, -2, -1)) == "neither"  # plain nesting
+    assert trace_shape_check((1, -2)) == "neither"
+    assert trace_shape_check((1, -1, 2, 3, -3, -1)) == "neither"
 
 
 # ---- iterated division ----
@@ -260,9 +297,9 @@ def test_resource_accounting_grows_logarithmically():
 
 def test_recognizer_report_text():
     out, _ = d.elin_to_dyck_nf(canonical_elin_grammar())
-    text = d.recognizer_report(out, "a" * 8 + "c" + "b" * 8)
+    text = d.recognize_atm(out, "a" * 8 + "c" + "b" * 8)[1].render()
     assert "verdict: member" in text
     assert "divide and conquer" in text
     assert "iterated division" in text
-    short = d.recognizer_report(out, "c")
+    short = d.recognize_atm(out, "c")[1].render()
     assert "parse table" in short

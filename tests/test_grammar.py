@@ -47,6 +47,8 @@ PARSE_ERRORS = {
     "missing start": ("S -> 'a'", "missing 'start:' declaration", 1, 1),
     "start without rules": ("start: T\nS -> 'a'",
                             "start symbol 'T' has no rules", 1, 1),
+    "start declared late": ("# header\n\n  start: T\nS -> 'a'",
+                            "start symbol 'T' has no rules", 3, 3),
     "undeclared symbol": ("start: S\n  S -> 'a' T  # T has no rules",
                           "undeclared symbol 'T'", 2, 12),
     "name collision": ("start: S\nS -> A 'A'\nA -> 'a'",
@@ -214,16 +216,14 @@ def test_deep_tree_needs_no_recursion():
 def test_leftmost_derivation_replays(expr_cnf):
     tree = d.extract_tree(expr_cnf, "a*a+a")
     steps = d.leftmost_derivation(expr_cnf, tree)
-    forms = d.derivation_forms(expr_cnf, tree)
-    assert forms[0] == ("E0",)
-    assert forms[-1] == tuple("a*a+a")
-    assert len(steps) == len(forms) - 1
+    form = (expr_cnf.start,)
     # each step rewrites the leftmost nonterminal of the previous form
-    for before, after, rule in zip(forms, forms[1:], steps):
-        at = next(i for i, s in enumerate(before)
+    for rule in steps:
+        at = next(i for i, s in enumerate(form)
                   if expr_cnf.is_nonterminal(s))
-        assert before[at] == rule.lhs
-        assert after == before[:at] + rule.rhs + before[at + 1:]
+        assert form[at] == rule.lhs
+        form = form[:at] + rule.rhs + form[at + 1:]
+    assert form == tuple("a*a+a")
 
 
 def test_fresh_name():
@@ -342,10 +342,11 @@ def test_indexes_match_list_scans(dyck_corpus, scan_table):
             for nt in g.nonterminals + ["Nowhere"]:
                 assert g.rules_for(nt) == [r for r in g.rules if r.lhs == nt]
             for r in g.rules:
-                assert g.has_rule(r)
+                assert r in g.rules_for(r.lhs)
                 for other in (d.Rule(r.lhs, r.rhs[::-1]),
                               d.Rule(g.start, r.rhs)):
-                    assert g.has_rule(other) == (other in g.rules)
+                    assert ((other in g.rules_for(other.lhs))
+                            == (other in g.rules))
             for w in random_words(g.terminals, 6, 12, seed=k):
                 assert d.build_table(g, w) == scan_table(g, w)
         assert d.pairing_of(gd) == _scan_pairing(gd)
@@ -368,7 +369,7 @@ def test_grammar_ignores_later_changes_to_its_inputs():
     for g in (lazy, warm):
         assert g == copy
         assert g.rules_for("A") == [d.Rule("A", ("a",))]
-        assert not g.has_rule(d.Rule("A", ("c",)))
+        assert d.Rule("A", ("c",)) not in g.rules_for("A")
         assert d.member(g, "ab") and not d.member(g, "cb")
         assert d.dyck_nf_violations(g) == []
         pairs = d.pairing_of(g)
