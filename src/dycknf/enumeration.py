@@ -3,10 +3,20 @@
 enumerate_words lists exactly the words a grammar derives up to a length
 bound, by saturating a length-indexed table bottom-up.  It is deliberately
 dumb and general: arbitrary rule bodies (up to the parse bound), unit rules,
-unit cycles, and lambda rules are all handled by iterating per-length passes
+unit cycles, and lambda rules are all handled by iterating per-length sweeps
 until nothing new appears.  The conversion and recognition code in this
 package is always cross-checked against this oracle rather than against
-itself.
+itself, so it shares no code with the parse table.
+
+Only the first sweep of a length runs every rule.  A later sweep re-runs
+the rules that a symbol changed by the sweep before it can reach.  Once
+length 0 is saturated, the nullable symbols (those deriving the empty word)
+are final, and a word of length n >= 1 that uses a length-n word of B needs
+every other body symbol to derive the empty word; so B reaches a rule only
+when B is in its body and every other body symbol is nullable.  A
+lambda-free grammar (every CNF and Dyck normal form grammar) therefore
+re-runs only its unit rules, and without unit rules needs one sweep per
+length.
 """
 
 from __future__ import annotations
@@ -35,22 +45,24 @@ def derivable_words(g, max_len, cap=DEFAULT_WORD_CAP):
     """table[A][n] = set of length-n terminal words derivable from A.
 
     Lengths are filled in ascending order, so when length n is being
-    saturated everything shorter is already final.  Within one length a
-    fixpoint loop handles same-length dependencies (unit rules, unit cycles,
-    and bodies whose other symbols derive lambda); a dirty set keeps the
-    later sweeps from recomposing rules whose inputs did not change.
+    saturated everything shorter is already final.  Within one length the
+    first sweep runs every rule; each later sweep runs, in rule order, only
+    the rules that the last sweep's changed heads reach.  At length 0 a
+    changed symbol reaches every rule with it in the body.  The nullable
+    set is final after length 0, and a rule gains a length-n word from a
+    length-n word of one body symbol only when every other body symbol
+    contributes the empty word; so from length 1 on a symbol reaches only
+    the rules in whose body every other symbol is nullable.
     """
     table = {nt: [set() for _ in range(max_len + 1)] for nt in g.nonterminals}
+    rules = g.rules
     stored = 0
     for n in range(0, max_len + 1):
-        dirty = None  # None means "first sweep, recompose every rule"
-        while dirty is None or dirty:
-            current, dirty = dirty, set()
-            for r in g.rules:
-                rhs = r.rhs
-                if current is not None and not any(s in current for s in rhs):
-                    continue
-                lhs = r.lhs
+        todo = range(len(rules))
+        while todo:
+            changed = set()
+            for i in todo:
+                lhs, rhs = rules[i]
                 new = _compose(g, table, rhs, n) - table[lhs][n]
                 if new:
                     table[lhs][n] |= new
@@ -59,29 +71,67 @@ def derivable_words(g, max_len, cap=DEFAULT_WORD_CAP):
                         raise ResourceLimitError(
                             f"enumeration exceeded {cap} stored words "
                             f"(grammar {g!r}, max_len {max_len})")
-                    dirty.add(lhs)
+                    changed.add(lhs)
+            if n == 0:
+                todo = [i for i, (_, rhs) in enumerate(rules)
+                        if not changed.isdisjoint(rhs)]
+            else:
+                todo = sorted({i for s in changed for i in reach.get(s, ())})
+        if n == 0:
+            reach = _reach(g, {nt for nt, cells in table.items() if cells[0]})
     return table
 
 
+def _reach(g, nullable):
+    """Nonterminal -> indices of the rules it reaches, in rule order.
+
+    A body nonterminal reaches its rule when every other body position holds
+    a nullable symbol.  So a body with two or more positions that are not
+    nullable is reached by nothing, and a body with one is reached only by
+    the nonterminal there.
+    """
+    reach = {}
+    for i, (_, rhs) in enumerate(g.rules):
+        solid = [s for s in rhs if s not in nullable]
+        if len(solid) > 1:
+            continue
+        for s in set(solid or rhs):
+            if g.is_nonterminal(s):
+                reach.setdefault(s, []).append(i)
+    return reach
+
+
 def _compose(g, table, rhs, n):
-    """Words of length n formed by concatenating one word per rhs symbol."""
-    parts = {0: {""}}
-    for sym in rhs:
+    """Words of length n formed by concatenating one word per rhs symbol.
+
+    Every symbol but the last extends the prefixes to each length that still
+    fits; the last one takes exactly the remaining length.
+    """
+    if not rhs:
+        return {""} if n == 0 else set()
+    parts = {0: {""}}  # prefix length -> prefixes
+    for sym in rhs[:-1]:
         nxt = {}
-        for have, words in parts.items():
-            if g.is_terminal(sym):
-                pieces = {1: {sym}} if have + 1 <= n else {}
-            else:
-                pieces = {
-                    m: table[sym][m]
-                    for m in range(0, n - have + 1) if table[sym][m]
-                }
-            for m, ws in pieces.items():
-                bucket = nxt.setdefault(have + m, set())
-                for a in words:
-                    for b in ws:
-                        bucket.add(a + b)
-        parts = nxt
-        if not parts:
+        if g.is_terminal(sym):
+            for have, words in parts.items():
+                if have < n:
+                    nxt[have + 1] = {a + sym for a in words}
+        else:
+            cells = table[sym]
+            for have, words in parts.items():
+                for m in range(n - have + 1):
+                    if cells[m]:
+                        nxt.setdefault(have + m, set()).update(
+                            [a + b for a in words for b in cells[m]])
+        if not nxt:
             return set()
-    return parts.get(n, set())
+        parts = nxt
+    sym = rhs[-1]
+    if g.is_terminal(sym):
+        return {a + sym for a in parts.get(n - 1, ())}
+    cells = table[sym]
+    out = set()
+    for have, words in parts.items():
+        if cells[n - have]:
+            out.update([a + b for a in words for b in cells[n - have]])
+    return out

@@ -298,9 +298,17 @@ def serialize(g):
     Each body symbol is written from one map: a nonterminal as its name, a
     terminal quoted.  A nonterminal with no rules, a body longer than
     parse_grammar's DEFAULT_MAX_RHS limit, or a body symbol g does not
-    declare has no text form and raises GrammarError.
+    declare has no text form and raises GrammarError.  So do an undeclared
+    start symbol or rule head, with validate's message.
     """
+    if g.start not in g._nt_set:
+        raise GrammarError(
+            f"cannot serialize: start symbol {g.start!r} is not declared")
     heads = {r.lhs for r in g.rules}
+    if not heads <= g._nt_set:
+        bad = next(r.lhs for r in g.rules if r.lhs not in g._nt_set)
+        raise GrammarError(
+            f"cannot serialize: rule head {bad!r} is not declared")
     for nt in g.nonterminals:
         if nt not in heads:
             raise GrammarError(
@@ -510,12 +518,12 @@ def leftmost_derivation(g, tree):
     can compare it against independent tree walks.
     """
     return [Rule(label, tuple(tree_label(c) for c in children))
-            for (label, children), _ in _rewrite(g, tree)]
+            for label, children in _rewrite(g, tree)]
 
 
 def _rewrite(g, tree):
     """Expand the leftmost pending subtree of the form (terminals and
-    subtrees) until none is left; yield each one with the form after it."""
+    subtrees) until none is left; yield each subtree as it is expanded."""
     validate_tree(g, tree)
     form = [tree]
     while True:
@@ -525,7 +533,7 @@ def _rewrite(g, tree):
             return
         node = form[idx]
         form[idx:idx + 1] = list(node[1])
-        yield node, form
+        yield node
 
 
 # ---- fresh names and isomorphism ----

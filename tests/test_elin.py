@@ -119,17 +119,14 @@ def trace_shape_check(word):
 
 
 def shapes_of(gd, max_len):
-    code = {}
-    for k, (left, right) in enumerate(d.pairing_of(gd), start=1):
-        code[left], code[right] = k, -k
     out = []
     for w in d.enumerate_words(gd, max_len):
         if len(w) < 2:
             continue
         for tree in d.all_trees(gd, w):
             tr = d.trace_word(gd, tree)
-            out.append((len(w), trace_shape_check(
-                tuple(code[x] for x in tr))))
+            shape = trace_shape_check(d.trace_as_brackets(gd, tr))
+            out.append((len(w), shape))
     return out
 
 

@@ -1,0 +1,117 @@
+"""The word enumerator, checked on its own terms.
+
+Everything else in the package is held against enumerate_words, so here the
+enumerator is held against golden word lists, against its cap, and against a
+plain fixpoint that runs every rule until nothing changes.
+"""
+
+from __future__ import annotations
+
+import ast
+import inspect
+import random
+
+import pytest
+
+import dycknf as d
+from dycknf import enumeration
+from dycknf.enumeration import derivable_words
+
+# name -> (grammar text, max_len, stored words at max_len, the words)
+GOLDEN = {
+    "lambda": (
+        "start: S\nS -> 'a' S 'b' S | eps", 6, 9,
+        ["ab", "aabb", "abab", "aaabbb", "aababb", "aabbab", "abaabb",
+         "ababab"]),
+    "unit cycle": (
+        "start: S\nS -> A | 'c'\nA -> B | 'a' A\nB -> S | 'b'", 4, 24,
+        ["b", "c", "ab", "ac", "aab", "aac", "aaab", "aaac"]),
+    # N is nullable and comes first in both bodies that hold it, and S and A
+    # feed each other at the same length through it; N learns it is
+    # nullable from M, whose rule comes after N's
+    "nullable first": (
+        "start: S\nS -> N A | 'x'\nA -> N S N | 'b'\nN -> 'c' | M\n"
+        "M -> eps", 4, 43,
+        ["b", "x", "bc", "cb", "cx", "xc", "bcc", "cbc", "ccb", "ccx", "cxc",
+         "xcc", "bccc", "cbcc", "ccbc", "cccb", "cccx", "ccxc", "cxcc",
+         "xccc"]),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_golden_words(name):
+    text, max_len, _, words = GOLDEN[name]
+    assert d.enumerate_words(d.parse_grammar(text), max_len) == words
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_cap_trips_one_below_the_stored_words(name):
+    text, max_len, stored, words = GOLDEN[name]
+    g = d.parse_grammar(text)
+    assert d.enumerate_words(g, max_len, cap=stored) == words
+    with pytest.raises(d.ResourceLimitError,
+                       match=f"enumeration exceeded {stored - 1} stored "
+                             f"words .* max_len {max_len}"):
+        d.enumerate_words(g, max_len, cap=stored - 1)
+
+
+def plain_fixpoint(g, max_len):
+    """Nonterminal -> its words up to max_len: every rule, every length,
+    again and again until a whole pass adds nothing."""
+    words = {nt: set() for nt in g.nonterminals}
+    grew = True
+    while grew:
+        grew = False
+        for lhs, rhs in g.rules:
+            made = {""}
+            for s in rhs:
+                pieces = {s} if g.is_terminal(s) else words[s]
+                made = {a + b for a in made for b in pieces
+                        if len(a) + len(b) <= max_len}
+            if not made <= words[lhs]:
+                words[lhs] |= made
+                grew = True
+    return words
+
+
+def random_grammar(seed):
+    """Up to four nonterminals over 'ab', with lambda rules, unit rules and
+    bodies of up to three symbols."""
+    rng = random.Random(f"enumeration:{seed}")
+    nts = ["S", "A", "B", "C"][:rng.randint(1, 4)]
+    symbols = nts + ["a", "b"]
+    rules = []
+    for _ in range(rng.randint(1, 8)):
+        size = rng.choice((0, 1, 1, 2, 2, 3))
+        rule = d.Rule(rng.choice(nts),
+                      tuple(rng.choice(symbols) for _ in range(size)))
+        if rule not in rules:
+            rules.append(rule)
+    return d.Grammar(nts, ["a", "b"], "S", rules), rng.randint(0, 5)
+
+
+def test_agrees_with_a_plain_fixpoint_on_random_grammars():
+    for seed in range(300):
+        g, max_len = random_grammar(seed)
+        want = plain_fixpoint(g, max_len)
+        table = derivable_words(g, max_len)
+        for nt in g.nonterminals:
+            assert table[nt] == [{w for w in want[nt] if len(w) == n}
+                                 for n in range(max_len + 1)], (seed, nt)
+        words = d.enumerate_words(g, max_len)
+        assert words == sorted((w for w in want["S"] if w),
+                               key=lambda w: (len(w), w)), seed
+        stored = sum(len(ws) for ws in want.values())
+        if stored:
+            with pytest.raises(d.ResourceLimitError):
+                d.enumerate_words(g, max_len, cap=stored - 1)
+            assert d.enumerate_words(g, max_len, cap=stored) == words
+
+
+def test_imports_nothing_but_the_grammar_module():
+    # the oracle must not share code with the parse table it checks
+    tree = ast.parse(inspect.getsource(enumeration))
+    imported = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)}
+    assert not any(isinstance(node, ast.Import) for node in ast.walk(tree))
+    assert imported == {"__future__", "grammar"}

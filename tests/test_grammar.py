@@ -100,6 +100,14 @@ def test_serialize_refuses_what_parse_would_reject():
     undeclared = d.Grammar(["S"], ["a"], "S", [d.Rule("S", ("a", "b"))])
     with pytest.raises(d.GrammarError, match="undeclared symbol 'b'"):
         d.serialize(undeclared)
+    no_start = d.Grammar(["S"], ["a"], "T", [d.Rule("S", ("a",))])
+    stray_head = d.Grammar(["S"], ["a"], "S",
+                           [d.Rule("S", ("a",)), d.Rule("Z", ("a",))])
+    for g in (no_start, stray_head):
+        with pytest.raises(d.GrammarError) as refused:
+            d.validate(g)
+        with pytest.raises(d.GrammarError, match=str(refused.value)):
+            d.serialize(g)
 
 
 def test_serialize_round_trip_needs_first_use_order():
