@@ -97,9 +97,6 @@ def _cmd_trace(args):
 
 def _cmd_check_dyck(args):
     word = parse_dyck_text(args.brackets)
-    if args.pairs and word and max(abs(x) for x in word) > args.pairs:
-        print(f"not a member (mentions a pair beyond k={args.pairs})")
-        return 1
     via_stack = in_dk_stack(word, args.pairs)
     via_counts = in_dk_lemma(word, args.pairs)
     if via_stack != via_counts:

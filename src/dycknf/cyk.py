@@ -138,13 +138,9 @@ def _parse_table(g, w):
 
     A grammar not in Chomsky normal form is refused whatever the word.
     """
-    if g._cnf_index is None:
-        raise GrammarError(_NOT_CNF)
-    if not w or any(not g.is_terminal(ch) for ch in w):
-        return None
     table = build_table(g, w)
-    start = table._index[1].get(g.start, 0)
-    return table if table._rows[0][-1] & start else None
+    start = table._index[1][g.start]
+    return table if w and table._rows[0][-1] & start else None
 
 
 def extract_tree(g, w):

@@ -32,14 +32,13 @@ from .grammar import (
     Grammar,
     GrammarError,
     Rule,
-    dyck_nf_violations,
+    _check,
     fresh_name,
-    pairing_of,
     validate,
 )
 from .normal_forms import (cleanup, collapse_units, to_dyck_nf,
                            with_fresh_start)
-from .phi import build_phi, partition_nonterminals
+from .phi import partition_nonterminals
 
 
 class PipelineShapeError(GrammarError):
@@ -50,6 +49,7 @@ class PipelineShapeError(GrammarError):
 
 def is_even_linear(g):
     """At most one nonterminal per body, with equally long terminal flanks."""
+    _check(g)
     for r in g.rules:
         nt_at = [i for i, s in enumerate(r.rhs) if g.is_nonterminal(s)]
         if len(nt_at) > 1:
@@ -246,21 +246,24 @@ class AlternationTrace:
 
 
 class _Search:
-    """Shared state for one divide-and-conquer membership run."""
+    """Shared state for one divide-and-conquer membership run.  pairs is
+    partition_nonterminals(g); phi is build_phi's map, plus the start."""
 
-    def __init__(self, g, w, d):
+    def __init__(self, g, w, d, pairs):
         self.w = w
         self.n = len(w)
         self.p = (self.n - 1) // 2
         self.d = d
-        self.phi = build_phi(g)
-        self.partner = dict(pairing_of(g))
+        self.partner = dict(itertools.chain(*pairs.values()))
+        self.phi = dict.fromkeys(g.nonterminals, "")
         self.rules_bin = {}
-        for r in g.rules:
-            if len(r.rhs) == 2:
-                self.rules_bin.setdefault(r.lhs, set()).add(r.rhs)
+        for lhs, rhs in g.rules:
+            if len(rhs) == 2:
+                self.rules_bin.setdefault(lhs, set()).add(rhs)
+            else:
+                self.phi[lhs] = rhs[0]
         self.start_bodies = self.rules_bin.get(g.start, set())
-        self.cands = [l for l, _ in partition_nonterminals(g)["left_terminal"]]
+        self.cands = [l for l, _ in pairs["left_terminal"]]
         self.memo = {}
         self.nodes = 0
         self.max_depth = 0
@@ -382,9 +385,6 @@ def recognize_atm(g, w):
     on a grammar that is not ladder-shaped (elin_to_dyck_nf output always
     is), because its search would miss the other derivations.
     """
-    bad = dyck_nf_violations(g)
-    if bad:
-        raise GrammarError(f"recognizer needs Dyck normal form, got {bad}")
     pairs = partition_nonterminals(g)
     if pairs["no_terminal"]:
         raise PipelineShapeError(
@@ -403,7 +403,7 @@ def recognize_atm(g, w):
             f"recognizer needs ladder shape on words of 9 letters or more "
             f"(run elin_to_dyck_nf first); off-ladder rules: {off_ladder}")
     d, chain = iterated_division(p)
-    search = _Search(g, w, d)
+    search = _Search(g, w, d, pairs)
     ok = search.decide(1, p, _ROOT, _CENTER, 0)
     return ok, AlternationTrace(
         word=w, accepted=ok, route="divide", n=n, p=p, d=d, division=chain,

@@ -79,6 +79,9 @@ class Grammar:
     So the questions every layer asks of a grammar are answered from indexes
     built once, on first use, and cached on the instance:
 
+      * `_defects`: validate's findings, read first by every other index
+        and by every public function that builds none, so that each refuses
+        an unsound grammar with validate's message;
       * `_heads`: head -> tuple of its rules in declaration order
         (rules_for, validate_tree and the CYK tree walks);
       * `_cnf_index`: None when the grammar is not in Chomsky normal form
@@ -101,7 +104,12 @@ class Grammar:
         self._t_set = set(self.terminals)
 
     @cached_property
+    def _defects(self):
+        return _find_defects(self)
+
+    @cached_property
     def _heads(self):
+        _check(self)
         heads = {}
         for r in self.rules:
             heads.setdefault(r.lhs, []).append(r)
@@ -111,19 +119,16 @@ class Grammar:
     def _cnf_index(self):
         # _is_cnf_rule's test, inlined: the member verb builds this index
         # once per grammar it parses, and those reach ~1,000 rules
+        _check(self)
         names = tuple(self.nonterminals)
         bit = {a: 1 << k for k, a in enumerate(names)}
         by_terminal = {}
         by_body = {}
-        for r in self.rules:
-            head = bit.get(r.lhs)
-            rhs = r.rhs
-            if head is None:
-                return None
+        for lhs, rhs in self.rules:
             if len(rhs) == 1 and rhs[0] in self._t_set:
-                by_terminal[rhs[0]] = by_terminal.get(rhs[0], 0) | head
+                by_terminal[rhs[0]] = by_terminal.get(rhs[0], 0) | bit[lhs]
             elif len(rhs) == 2 and rhs[0] in bit and rhs[1] in bit:
-                by_body[rhs] = by_body.get(rhs, 0) | head
+                by_body[rhs] = by_body.get(rhs, 0) | bit[lhs]
             else:
                 return None
         by_left = {}
@@ -295,20 +300,11 @@ def serialize(g):
     parse(serialize(g)) == g holds only when g lists its nonterminals in the
     order their first rules appear and its terminals in the order they first
     appear in rule bodies, with no unused terminal, as a parsed grammar does.
-    Each body symbol is written from one map: a nonterminal as its name, a
-    terminal quoted.  A nonterminal with no rules, a body longer than
-    parse_grammar's DEFAULT_MAX_RHS limit, or a body symbol g does not
-    declare has no text form and raises GrammarError.  So do an undeclared
-    start symbol or rule head, with validate's message.
+    A grammar validate refuses (lambda rules aside) raises its GrammarError;
+    so do a nonterminal with no rules and a body longer than DEFAULT_MAX_RHS.
     """
-    if g.start not in g._nt_set:
-        raise GrammarError(
-            f"cannot serialize: start symbol {g.start!r} is not declared")
+    _check(g)
     heads = {r.lhs for r in g.rules}
-    if not heads <= g._nt_set:
-        bad = next(r.lhs for r in g.rules if r.lhs not in g._nt_set)
-        raise GrammarError(
-            f"cannot serialize: rule head {bad!r} is not declared")
     for nt in g.nonterminals:
         if nt not in heads:
             raise GrammarError(
@@ -321,14 +317,10 @@ def serialize(g):
     text = {t: f"'{t}'" for t in g.terminals}
     text.update((nt, nt) for nt in g.nonterminals)
     lines = [f"start: {g.start}"]
-    try:
-        for lhs, rules in groupby(g.rules, attrgetter("lhs")):
-            alts = " | ".join(" ".join([text[s] for s in r.rhs]) or "eps"
-                              for r in rules)
-            lines.append(f"{lhs} -> {alts}")
-    except KeyError as e:
-        raise GrammarError(
-            f"cannot serialize: undeclared symbol {e.args[0]!r}") from None
+    for lhs, rules in groupby(g.rules, attrgetter("lhs")):
+        alts = " | ".join(" ".join([text[s] for s in r.rhs]) or "eps"
+                          for r in rules)
+        lines.append(f"{lhs} -> {alts}")
     return "\n".join(lines) + "\n"
 
 
@@ -337,39 +329,57 @@ def validate(g, allow_lambda=False):
 
     Checks symbol well-formedness, declaredness, single-character terminals,
     terminal/nonterminal name disjointness, duplicate rules, and (unless
-    allow_lambda) the absence of lambda rules.
+    allow_lambda) the absence of lambda rules.  The check runs at most once
+    per Grammar, and every public function refuses with its message.
     """
-    seen_nt = set()
+    _check(g, allow_lambda)
+
+
+def _check(g, allow_lambda=True):
+    """validate with lambda rules let through unless allow_lambda is False."""
+    defect, lambda_rule = g._defects
+    if lambda_rule is not None and not allow_lambda:
+        defect = f"lambda rule {lambda_rule} is not allowed here"
+    if defect is not None:
+        raise GrammarError(defect)
+
+
+def _find_defects(g):
+    """(message of g's first defect, first lambda rule before it), None
+    where there is none; a lambda rule is recorded, not refused, since only
+    enumerate_words accepts it."""
+    declared = set()
     for nt in g.nonterminals:
         if not _IDENT.fullmatch(nt) or nt == "eps":
-            raise GrammarError(f"bad nonterminal name {nt!r}")
-        if nt in seen_nt:
-            raise GrammarError(f"nonterminal {nt} declared twice")
-        seen_nt.add(nt)
-    seen_t = set()
+            return f"bad nonterminal name {nt!r}", None
+        if nt in declared:
+            return f"nonterminal {nt} declared twice", None
+        declared.add(nt)
     for t in g.terminals:
         if len(t) != 1 or t == "\n":
-            raise GrammarError(f"terminal {t!r} is not a single character")
-        if t in seen_nt:
-            raise GrammarError(
-                f"terminal {t!r} collides with a nonterminal name")
-        if t in seen_t:
-            raise GrammarError(f"terminal {t!r} declared twice")
-        seen_t.add(t)
-    if g.start not in seen_nt:
-        raise GrammarError(f"start symbol {g.start!r} is not declared")
+            return f"terminal {t!r} is not a single character", None
+        if t in g._nt_set:
+            return f"terminal {t!r} collides with a nonterminal name", None
+        if t in declared:
+            return f"terminal {t!r} declared twice", None
+        declared.add(t)
+    if g.start not in g._nt_set:
+        return f"start symbol {g.start!r} is not declared", None
+    lambda_rule = None
     seen_rules = set()
     for r in g.rules:
-        if r.lhs not in seen_nt:
-            raise GrammarError(f"rule head {r.lhs!r} is not declared")
-        if not r.rhs and not allow_lambda:
-            raise GrammarError(f"lambda rule {r} is not allowed here")
-        for s in r.rhs:
-            if s not in seen_nt and s not in seen_t:
-                raise GrammarError(f"undeclared symbol {s!r} in rule {r}")
+        lhs, rhs = r
+        if lhs not in g._nt_set:
+            return f"rule head {lhs!r} is not declared", lambda_rule
+        if not rhs and lambda_rule is None:
+            lambda_rule = r
+        for s in rhs:
+            if s not in declared:
+                return f"undeclared symbol {s!r} in rule {r}", lambda_rule
         if r in seen_rules:
-            raise GrammarError(f"duplicate rule {r}")
+            return f"duplicate rule {r}", lambda_rule
         seen_rules.add(r)
+    return None, lambda_rule
 
 
 # ---- structural predicates ----
@@ -380,10 +390,9 @@ def is_cnf(g):
 
 
 def _is_cnf_rule(g, r):
-    return g.is_nonterminal(r.lhs) and (
-        len(r.rhs) == 1 and g.is_terminal(r.rhs[0])
-        or len(r.rhs) == 2 and g.is_nonterminal(r.rhs[0])
-        and g.is_nonterminal(r.rhs[1]))
+    return (len(r.rhs) == 1 and g.is_terminal(r.rhs[0])
+            or len(r.rhs) == 2 and g.is_nonterminal(r.rhs[0])
+            and g.is_nonterminal(r.rhs[1]))
 
 
 def dyck_nf_violations(g):
@@ -483,6 +492,7 @@ def validate_tree(g, tree):
     Raises GrammarError if not.  Returns the tree's internal labels in
     preorder (depth first, left to right), the root first.
     """
+    heads = g._heads
     if isinstance(tree, str):
         raise GrammarError(f"root of a parse tree must be a nonterminal node,"
                            f" got leaf {tree!r}")
@@ -490,7 +500,6 @@ def validate_tree(g, tree):
     if label != g.start:
         raise GrammarError(f"tree root is {label}, expected {g.start}")
     # preorder over an explicit stack, so deep trees cannot exhaust recursion
-    heads = g._heads
     terminals = g._t_set
     labels = []
     stack = [tree]
@@ -557,11 +566,10 @@ def find_isomorphism(g1, g2):
     the backtracking (over an explicit stack) drops a partial renaming as
     soon as it sends some fully renamed rule outside g2.
     """
-    if sorted(g1.terminals) != sorted(g2.terminals):
-        return None
-    if len(g1.nonterminals) != len(g2.nonterminals):
-        return None
-    if len(g1.rules) != len(g2.rules):
+    _check(g1)
+    _check(g2)
+    if (sorted(g1.terminals), len(g1.nonterminals), len(g1.rules)) != (
+            sorted(g2.terminals), len(g2.nonterminals), len(g2.rules)):
         return None
     c1, c2 = _refine_colors(g1, g2)
     if sorted(c1[nt] for nt in g1.nonterminals) != sorted(

@@ -34,8 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cyk import build_table
-from .grammar import (Grammar, GrammarError, Rule, dyck_nf_violations,
-                      fresh_name, is_cnf, validate, validate_tree)
+from .grammar import (Grammar, GrammarError, Rule, _check,
+                      dyck_nf_violations, fresh_name, is_cnf, validate,
+                      validate_tree)
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,7 @@ def ledger_text(ledger):
 
 def cleanup(g):
     """Drop unproductive and unreachable symbols and the rules using them."""
+    _check(g)
     productive = set()
     changed = True
     while changed:
@@ -99,6 +101,7 @@ def with_fresh_start(g):
     If the start already stays off every rhs the grammar is returned as is;
     otherwise a fresh start is prepended that repeats the old start's rules.
     """
+    _check(g)
     if all(g.start not in r.rhs for r in g.rules):
         return g
     used = set(g.nonterminals) | set(g.terminals)
@@ -280,7 +283,6 @@ def to_dyck_nf(g):
     which callers can and should check via the enumeration oracle or
     verify_equivalence_matrices.
     """
-    validate(g)
     if not is_cnf(g):
         raise GrammarError(
             "Dyck normal form conversion needs Chomsky normal form input; "
@@ -425,6 +427,7 @@ def build_hd(g_dyck, ledger):
     Terminals map to themselves.  Composing the ledger transitively means a
     stand-in of a stand-in still collapses to the true original.
     """
+    _check(g_dyck)
     parent = {s.fresh: s.original for s in ledger}
     hd = {}
     for nt in g_dyck.nonterminals:
@@ -444,6 +447,7 @@ def map_tree(tree, hd, g_cnf):
     ledger does not describe the conversion that actually happened, so it
     raises instead of returning garbage.
     """
+    _check(g_cnf)
     mapped = _relabel(tree, hd)
     try:
         validate_tree(g_cnf, mapped)

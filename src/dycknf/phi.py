@@ -48,8 +48,6 @@ def partition_nonterminals(g):
     in canonical pairing order.  "left_terminal" means the opening bracket
     carries the terminal rule and the closing one is rewritten further.
     """
-    if not is_dyck_nf(g):
-        raise GrammarError("pair classification needs Dyck normal form")
     has_term = {r.lhs for r in g.rules if len(r.rhs) == 1}
     out = {"both_terminal": [], "left_terminal": [],
            "right_terminal": [], "no_terminal": []}
@@ -94,8 +92,6 @@ def extend_grammar(g):
     word does not have: its left bracket maps to the terminal under phi and
     its right bracket to the empty word.
     """
-    if not is_dyck_nf(g):
-        raise GrammarError("the extension needs Dyck normal form input")
     base_pairs = pairing_of(g)
     used = set(g.nonterminals) | set(g.terminals)
     nts = list(g.nonterminals)
@@ -129,8 +125,7 @@ def build_phi(ext):
     normal form grammar; the start symbol is no bracket and gets no image.
     """
     if isinstance(ext, ExtendedGrammar):
-        g = ext.base
-        phi = build_phi(g)
+        phi = build_phi(ext.base)
         for left, right, t in ext.new_pairs:
             phi[left] = t
             phi[right] = ""

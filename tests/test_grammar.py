@@ -90,24 +90,29 @@ def test_serialize_round_trip(expr, expr_cnf, expr_dyck_expected):
         assert d.parse_grammar(d.serialize(g)) == g
 
 
-def test_serialize_refuses_what_parse_would_reject():
-    g = d.Grammar(["S"], ["a"], "S", [d.Rule("S", ("a",) * 9)])
-    d.validate(g)
-    with pytest.raises(d.GrammarError, match="DEFAULT_MAX_RHS") as exc:
-        d.serialize(g)
-    assert not isinstance(exc.value, d.ParseError)
-    assert "S -> a a a a a a a a a" in str(exc.value)
-    undeclared = d.Grammar(["S"], ["a"], "S", [d.Rule("S", ("a", "b"))])
-    with pytest.raises(d.GrammarError, match="undeclared symbol 'b'"):
-        d.serialize(undeclared)
-    no_start = d.Grammar(["S"], ["a"], "T", [d.Rule("S", ("a",))])
-    stray_head = d.Grammar(["S"], ["a"], "S",
-                           [d.Rule("S", ("a",)), d.Rule("Z", ("a",))])
-    for g in (no_start, stray_head):
-        with pytest.raises(d.GrammarError) as refused:
-            d.validate(g)
-        with pytest.raises(d.GrammarError, match=str(refused.value)):
+def test_serialize_refuses_what_parse_would_reject(expr, expr_cnf):
+    # its own two refusals: sound grammars the text format cannot hold
+    long_body = d.Grammar(["S"], ["a"], "S", [d.Rule("S", ("a",) * 9)])
+    no_rules = d.Grammar(["S", "A"], ["a"], "S", [d.Rule("S", ("a",))])
+    for g, message in ((long_body, "S -> a a a a a a a a a has 9 body "
+                                   "symbols, more than DEFAULT_MAX_RHS"),
+                       (no_rules, "nonterminal A has no rules")):
+        d.validate(g)
+        with pytest.raises(d.GrammarError) as exc:
             d.serialize(g)
+        assert not isinstance(exc.value, d.ParseError)
+        assert message in str(exc.value)
+    # otherwise it refuses exactly what validate refuses, with its message
+    lam = d.parse_grammar("start: S\nS -> 'a' | eps")
+    for g in [*UNSOUND.values(), expr, expr_cnf, lam]:
+        try:
+            d.validate(g, allow_lambda=True)
+        except d.GrammarError as e:
+            with pytest.raises(d.GrammarError) as exc:
+                d.serialize(g)
+            assert str(exc.value) == str(e)
+        else:
+            assert d.parse_grammar(d.serialize(g)) == g
 
 
 def test_serialize_round_trip_needs_first_use_order():
@@ -163,6 +168,134 @@ def test_rule_is_a_plain_pair():
         r.lhs = "T"
     back = pickle.loads(pickle.dumps(r))
     assert back == r and type(back) is d.Rule
+
+
+# ---- one soundness check for every entry point ----
+
+def _grammar(nts, ts, start, *rules):
+    return d.Grammar(nts, ts, start, [d.Rule(lhs, rhs) for lhs, rhs in rules])
+
+
+# one hand-built grammar per kind of defect validate refuses
+UNSOUND = {
+    "name is both kinds": _grammar(["S", "a"], ["a"], "S", ("S", ("a",))),
+    "undeclared start": _grammar(["S"], ["a"], "T", ("S", ("a",))),
+    "undeclared head": _grammar(["S"], ["a"], "S", ("S", ("a",)),
+                                ("Z", ("a",))),
+    "nonterminal twice": _grammar(["S", "S"], ["a"], "S", ("S", ("a",))),
+    "terminal twice": _grammar(["S"], ["a", "a"], "S", ("S", ("a",))),
+    "duplicate rule": _grammar(["S"], ["a"], "S", ("S", ("a",)),
+                               ("S", ("a",))),
+    "bad nonterminal name": _grammar(["S x"], ["a"], "S x",
+                                     ("S x", ("a",))),
+    "undeclared body symbol": _grammar(["S"], ["a"], "S", ("S", ("a", "b"))),
+    "long terminal": _grammar(["S"], ["ab"], "S", ("S", ("ab",))),
+}
+
+_TREE = ("S", ("a",))
+
+# every public function that takes a grammar, called with g in each
+# grammar argument
+ENTRY_POINTS = {
+    "validate": lambda g: d.validate(g),
+    "serialize": lambda g: d.serialize(g),
+    "dyck_nf_violations": lambda g: d.dyck_nf_violations(g),
+    "is_cnf": lambda g: d.is_cnf(g),
+    "is_dyck_nf": lambda g: d.is_dyck_nf(g),
+    "pairing_of": lambda g: d.pairing_of(g),
+    "find_isomorphism": lambda g: d.find_isomorphism(g, g),
+    "leftmost_derivation": lambda g: d.leftmost_derivation(g, _TREE),
+    "validate_tree": lambda g: d.validate_tree(g, _TREE),
+    "enumerate_words": lambda g: d.enumerate_words(g, 3),
+    "all_trees": lambda g: d.all_trees(g, "a"),
+    "build_table": lambda g: d.build_table(g, "a"),
+    "count_trees": lambda g: d.count_trees(g, "a"),
+    "extract_tree": lambda g: d.extract_tree(g, "a"),
+    "member": lambda g: d.member(g, "a"),
+    "build_hd": lambda g: d.build_hd(g, ()),
+    "cleanup": lambda g: d.cleanup(g),
+    "map_tree": lambda g: d.map_tree(_TREE, {"S": "S"}, g),
+    "to_cnf": lambda g: d.to_cnf(g),
+    "to_dyck_nf": lambda g: d.to_dyck_nf(g),
+    "verify_equivalence_matrices":
+        lambda g: d.verify_equivalence_matrices(g, g, (), "a"),
+    "with_fresh_start": lambda g: d.with_fresh_start(g),
+    "trace_as_brackets": lambda g: d.trace_as_brackets(g, ("S",)),
+    "trace_from_rewriting": lambda g: d.trace_from_rewriting(g, _TREE),
+    "trace_language": lambda g: d.trace_language(g, 3),
+    "trace_word": lambda g: d.trace_word(g, _TREE),
+    "build_phi": lambda g: d.build_phi(g),
+    "extend_grammar": lambda g: d.extend_grammar(g),
+    "partition_nonterminals": lambda g: d.partition_nonterminals(g),
+    "verify_characterization": lambda g: d.verify_characterization(g, 3),
+    "elin_to_dyck_nf": lambda g: d.elin_to_dyck_nf(g),
+    "is_even_linear": lambda g: d.is_even_linear(g),
+    "recognize_atm": lambda g: d.recognize_atm(g, "a"),
+}
+
+
+def test_entry_point_table_covers_the_public_api():
+    takes_grammar = set()
+    for name in d.__all__:
+        value = getattr(d, name)
+        if inspect.isfunction(value) and {"g", "g1", "g_cnf", "g_dyck",
+                                           "ext"} & set(
+                inspect.signature(value).parameters):
+            takes_grammar.add(name)
+    assert takes_grammar == set(ENTRY_POINTS) and len(ENTRY_POINTS) == 33
+
+
+def test_every_entry_point_refuses_an_unsound_grammar():
+    for kind, g in UNSOUND.items():
+        with pytest.raises(d.GrammarError) as refused:
+            d.validate(g)
+        for name, call in ENTRY_POINTS.items():
+            with pytest.raises(d.GrammarError) as exc:
+                call(g)
+            assert str(refused.value) in str(exc.value), (kind, name)
+
+
+def test_soundness_is_checked_once_per_grammar(monkeypatch, expr_cnf):
+    from dycknf import grammar
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return find(g)
+
+    find = grammar._find_defects
+    monkeypatch.setattr(grammar, "_find_defects", counted)
+    g = d.Grammar(expr_cnf.nonterminals, expr_cnf.terminals,
+                  expr_cnf.start, expr_cnf.rules)
+    d.validate(g)
+    assert d.member(g, "a+a") and d.is_cnf(g) and not d.is_dyck_nf(g)
+    d.serialize(g)
+    out, _ = d.to_dyck_nf(g)   # checks its output as well, once
+    d.enumerate_words(g, 3)
+    bad = _grammar(["S", "a"], ["a"], "S", ("S", ("a",)))
+    for _ in range(2):
+        for name in ("member", "serialize", "is_even_linear"):
+            with pytest.raises(d.GrammarError):
+                ENTRY_POINTS[name](bad)
+    assert [id(c) for c in calls] == [id(g), id(out), id(bad)]
+
+
+def test_lambda_rules_are_refused_only_where_validate_refuses_them():
+    g = d.parse_grammar("start: S\nS -> A 'a' | 'b'\nA -> eps")
+    dup = _grammar(["S"], ["a"], "S", ("S", ()), ("S", ("a",)),
+                   ("S", ("a",)))
+    with pytest.raises(d.GrammarError, match="lambda rule A -> eps"):
+        d.validate(g)
+    # the first of the two defects in rule order is the one validate names
+    with pytest.raises(d.GrammarError, match="lambda rule S -> eps"):
+        d.validate(dup)
+    with pytest.raises(d.GrammarError, match="duplicate rule S -> a"):
+        d.validate(dup, allow_lambda=True)
+    assert d.enumerate_words(g, 2) == ["a", "b"]
+    assert d.parse_grammar(d.serialize(g)) == g
+    assert not d.is_cnf(g)
+    with pytest.raises(d.GrammarError, match="lambda rule A -> eps"):
+        d.to_cnf(g)
 
 
 # ---- normal form predicates ----
