@@ -28,8 +28,7 @@ import re
 
 from .cyk import DEFAULT_TREE_CAP, all_trees
 from .enumeration import DEFAULT_WORD_CAP, enumerate_words
-from .grammar import (GrammarError, leftmost_derivation, pairing_of,
-                      validate_tree)
+from .grammar import GrammarError, leftmost_derivation, validate_tree
 
 
 class TraceUndefinedError(ValueError):
@@ -201,17 +200,9 @@ def trace_from_rewriting(g, tree):
     return tuple(r.lhs for r in steps[1:])
 
 
-def pair_code(pairs):
-    """Name -> signed pair index: pair k of `pairs` is written +k / -k."""
-    code = {}
-    for k, (left, right) in enumerate(pairs, start=1):
-        code[left] = k
-        code[right] = -k
-    return code
-
-
 def encode_trace(code, trace):
-    """A trace as a bracket word, each name looked up in a pair_code map."""
+    """A trace as a bracket word, each name looked up in `code`, a map from
+    bracket name to signed pair number."""
     try:
         return tuple(code[name] for name in trace)
     except KeyError as e:
@@ -225,7 +216,7 @@ def trace_as_brackets(g, trace):
     Pair numbering is the canonical one from pairing_of: pair k of that list
     is written +k / -k.
     """
-    return encode_trace(pair_code(pairing_of(g)), trace)
+    return encode_trace(g._brackets[0], trace)
 
 
 def trace_language(g, max_word_len):

@@ -34,6 +34,7 @@ from .grammar import (
     Rule,
     _check,
     fresh_name,
+    pairing_of,
     validate,
 )
 from .normal_forms import (cleanup, collapse_units, to_dyck_nf,
@@ -247,21 +248,21 @@ class AlternationTrace:
 
 class _Search:
     """Shared state for one divide-and-conquer membership run.  pairs is
-    partition_nonterminals(g); phi is build_phi's map, plus the start."""
+    partition_nonterminals(g); partner sends each left bracket to its right
+    one, by pairing_of; phi is the letter map that g caches and build_phi
+    copies, so it is read, never written."""
 
     def __init__(self, g, w, d, pairs):
         self.w = w
         self.n = len(w)
         self.p = (self.n - 1) // 2
         self.d = d
-        self.partner = dict(itertools.chain(*pairs.values()))
-        self.phi = dict.fromkeys(g.nonterminals, "")
+        self.partner = dict(pairing_of(g))
+        self.phi = g._brackets[1]
         self.rules_bin = {}
         for lhs, rhs in g.rules:
             if len(rhs) == 2:
                 self.rules_bin.setdefault(lhs, set()).add(rhs)
-            else:
-                self.phi[lhs] = rhs[0]
         self.start_bodies = self.rules_bin.get(g.start, set())
         self.cands = [l for l, _ in pairs["left_terminal"]]
         self.memo = {}
@@ -368,11 +369,11 @@ def _ladder_violations(g, pairs):
     every derivation of a word of 9 letters or more is the chain the search
     walks, so its verdict is exact.
     """
-    has_term = {r.lhs for r in g.rules if len(r.rhs) == 1}
+    letter = g._brackets[1]
     closers = {right for _, right in pairs["left_terminal"]}
     return [str(r) for r in g.rules if len(r.rhs) == 2
-            and not (r.rhs[0] in has_term and r.rhs[1] in has_term)
-            and (r.lhs in closers) == (r.rhs[0] in has_term)]
+            and not (letter[r.rhs[0]] and letter[r.rhs[1]])
+            and (r.lhs in closers) == bool(letter[r.rhs[0]])]
 
 
 def recognize_atm(g, w):

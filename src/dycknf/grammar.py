@@ -92,7 +92,11 @@ class Grammar:
         of that body), one entry per right partner, so exactly one per left
         symbol in Dyck normal form;
       * `_dyck_check`: the Dyck normal form violations, and the canonical
-        pairing when there are none (dyck_nf_violations and pairing_of).
+        pairing when there are none (dyck_nf_violations and pairing_of);
+      * `_brackets`: the bracket map of a Dyck normal form grammar, from
+        that pairing: bracket name -> signed pair number (pair k of
+        pairing_of is +k / -k), and non-start nonterminal -> its terminal or
+        "" (the bracket words of traces, phi and the recognizer).
     """
 
     def __init__(self, nonterminals, terminals, start, rules):
@@ -141,6 +145,16 @@ class Grammar:
     def _dyck_check(self):
         return _check_dyck_nf(self)
 
+    @cached_property
+    def _brackets(self):
+        code = {}
+        for k, (left, right) in enumerate(pairing_of(self), start=1):
+            code[left], code[right] = k, -k
+        letter = {nt: "" for nt in self.nonterminals if nt != self.start}
+        letter.update((lhs, rhs[0]) for lhs, rhs in self.rules
+                      if len(rhs) == 1 and lhs != self.start)
+        return code, letter
+
     def is_nonterminal(self, name):
         return name in self._nt_set
 
@@ -185,11 +199,12 @@ def parse_grammar(text):
     Raises ParseError with the line and column of the offense: where the
     bad token starts; for a start symbol that is repeated, malformed or
     without rules, where the `start:` of its declaration starts; for an
-    over-long body or a repeated rule, where its alternative starts; for an empty alternative, just after the '->' or
-    '|' that opens it.  Every line's start declaration or rule head is read
-    first, then the start symbol is checked, then the bodies are read token
-    by token.  A text with several errors reports the first in that order,
-    so an error in a body comes after any head or start symbol error.
+    over-long body or a repeated rule, where its alternative starts; for an
+    empty alternative, just after the '->' or '|' that opens it.  Every
+    line's start declaration or rule head is read first, then the start
+    symbol is checked, then the bodies are read token by token.  A text with
+    several errors reports the first in that order, so an error in a body
+    comes after any head or start symbol error.
     """
     start = None
     heads = {}    # nonterminal -> None, in the order of their first rules

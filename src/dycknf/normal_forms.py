@@ -425,35 +425,33 @@ def build_hd(g_dyck, ledger):
     """Total map sending every stand-in chain back to its original symbol.
 
     Terminals map to themselves.  Composing the ledger transitively means a
-    stand-in of a stand-in still collapses to the true original.
+    stand-in of a stand-in still collapses to the true original.  A cyclic
+    or out-of-order ledger raises _closures' GrammarError.
     """
     _check(g_dyck)
-    parent = {s.fresh: s.original for s in ledger}
-    hd = {}
-    for nt in g_dyck.nonterminals:
-        root = nt
-        while root in parent:
-            root = parent[root]
-        hd[nt] = root
-    for t in g_dyck.terminals:
-        hd[t] = t
+    desc_any, _ = _closures(ledger)
+    fresh = {s.fresh for s in ledger}
+    root = {x: a for a, below in desc_any.items() if a not in fresh
+            for x in below}
+    hd = {nt: root.get(nt, nt) for nt in g_dyck.nonterminals}
+    hd.update((t, t) for t in g_dyck.terminals)
     return hd
 
 
 def map_tree(tree, hd, g_cnf):
     """Relabel a converted-grammar parse tree back into the CNF grammar.
 
-    The relabeled tree is validated against g_cnf: a failure here means the
-    ledger does not describe the conversion that actually happened, so it
-    raises instead of returning garbage.
+    The relabeled tree is validated against g_cnf: a label hd lacks or a
+    failed check means the ledger does not describe the conversion that
+    actually happened, so it raises instead of returning garbage.
     """
     _check(g_cnf)
-    mapped = _relabel(tree, hd)
     try:
+        mapped = _relabel(tree, hd)
         validate_tree(g_cnf, mapped)
-    except GrammarError as e:
+    except (GrammarError, KeyError) as e:
         raise GrammarError(
-            f"collapsed tree is not valid in the source grammar "
+            f"tree does not collapse into the source grammar "
             f"(substitution ledger out of sync): {e}") from e
     return mapped
 
@@ -483,17 +481,18 @@ def _closures(ledger):
 
     One pass over the ledger in reverse: to_dyck_nf records a stand-in
     before any stand-in for it, so a fresh symbol's own sets are complete
-    when its entry is reached.
+    when its entry is reached.  A ledger out of that order, a cycle
+    included, raises GrammarError.
     """
     desc_any = {}
     desc_nt = {}
     done = set()
     for s in reversed(ledger):
+        done.add(s.fresh)
         if s.original in done:
             raise GrammarError(
                 f"ledger lists a stand-in for {s.original} before "
                 f"{s.original} itself")
-        done.add(s.fresh)
         below = desc_any.setdefault(s.original, set())
         below.add(s.fresh)
         below.update(desc_any.get(s.fresh, ()))

@@ -19,26 +19,27 @@ words) must equal L(g) up to a length bound, and every trace must be Dyck.
 partition_nonterminals classifies bracket pairs by which side carries a
 terminal rule; the even-linear pipeline leans on the fact that it never
 produces a pair with no terminal side at all.
+
+Pair numbers and letters come from the grammar's one cached bracket map, so
+every function here that takes a grammar refuses one outside Dyck normal
+form with pairing_of's GrammarError, which lists the violations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .dyck import (_traces_of, encode_trace, in_dk_stack, pair_code,
-                   render_dyck_word)
+from .dyck import _traces_of, encode_trace, in_dk_stack, render_dyck_word
 from .enumeration import DEFAULT_WORD_CAP, enumerate_words
-from .grammar import (
-    Grammar,
-    GrammarError,
-    Rule,
-    fresh_name,
-    is_dyck_nf,
-    pairing_of,
-)
+from .grammar import Grammar, GrammarError, Rule, fresh_name, pairing_of
 
 
 # ---- pair classification ----
+
+# (left side has a terminal rule, right side has one) -> class
+_CLASSES = {(True, True): "both_terminal", (True, False): "left_terminal",
+            (False, True): "right_terminal", (False, False): "no_terminal"}
+
 
 def partition_nonterminals(g):
     """Split a Dyck normal form grammar's pairs by terminal-rule placement.
@@ -48,19 +49,11 @@ def partition_nonterminals(g):
     in canonical pairing order.  "left_terminal" means the opening bracket
     carries the terminal rule and the closing one is rewritten further.
     """
-    has_term = {r.lhs for r in g.rules if len(r.rhs) == 1}
-    out = {"both_terminal": [], "left_terminal": [],
-           "right_terminal": [], "no_terminal": []}
+    letter = g._brackets[1]
+    out = {cls: [] for cls in _CLASSES.values()}
     for left, right in pairing_of(g):
-        lt, rt = left in has_term, right in has_term
-        if lt and rt:
-            out["both_terminal"].append((left, right))
-        elif lt:
-            out["left_terminal"].append((left, right))
-        elif rt:
-            out["right_terminal"].append((left, right))
-        else:
-            out["no_terminal"].append((left, right))
+        out[_CLASSES[bool(letter[left]), bool(letter[right])]].append(
+            (left, right))
     return out
 
 
@@ -123,6 +116,8 @@ def build_phi(ext):
     """The bracket-to-letter map: terminal-ruled brackets keep their letter,
     all other brackets erase.  Accepts an ExtendedGrammar or a plain Dyck
     normal form grammar; the start symbol is no bracket and gets no image.
+    Returns a fresh dict; a grammar outside Dyck normal form gets
+    pairing_of's GrammarError, which lists the violations.
     """
     if isinstance(ext, ExtendedGrammar):
         phi = build_phi(ext.base)
@@ -130,12 +125,7 @@ def build_phi(ext):
             phi[left] = t
             phi[right] = ""
         return phi
-    g = ext
-    if not is_dyck_nf(g):
-        raise GrammarError("phi is defined for Dyck normal form grammars")
-    terminal_of = {r.lhs: r.rhs[0] for r in g.rules if len(r.rhs) == 1}
-    return {nt: terminal_of.get(nt, "")
-            for nt in g.nonterminals if nt != g.start}
+    return dict(ext._brackets[1])
 
 
 def apply_phi(phi, trace):
@@ -195,7 +185,9 @@ def verify_characterization(g, max_len):
         raise ValueError(f"max_len must be at least 1, got {max_len}")
     ext = extend_grammar(g)
     phi = build_phi(ext)
-    code = pair_code(ext.pairs)
+    code = dict(g._brackets[0])
+    for k, (left, right, _) in enumerate(ext.new_pairs, start=ext.k_base + 1):
+        code[left], code[right] = k, -k
 
     words = enumerate_words(g, max_len, cap=DEFAULT_WORD_CAP)  # length-lex
     language = set(words)

@@ -17,7 +17,6 @@ from dycknf.corpus import (
     random_elin_members,
     random_words,
 )
-from dycknf.dyck import pair_code
 
 CANONICAL_DYCK = """
 start: S0
@@ -142,7 +141,9 @@ def test_trace_shapes_follow_word_parity(elin_converted):
 def test_trace_shape_of_extension_pairs():
     out, _ = d.elin_to_dyck_nf(canonical_elin_grammar())
     ext = d.extend_grammar(out)
-    code = pair_code(ext.pairs)
+    code = {}
+    for k, (left, right) in enumerate(ext.pairs, start=1):
+        code[left], code[right] = k, -k
     for left, right, _ in ext.new_pairs:
         assert trace_shape_check((code[left], code[right])) == "formA"
 

@@ -180,6 +180,22 @@ def test_collapsing_map_on_corpus(dyck_corpus):
             mapped = d.map_tree(tree, hd, g)
             assert d.tree_yield(mapped) == w
 
+def test_build_hd_refuses_a_cyclic_or_out_of_order_ledger(expr_cnf):
+    cyclic = (d.Substitution("E", "T", "nonterminal", 2),
+              d.Substitution("T", "E", "nonterminal", 2))
+    looped = (d.Substitution("E", "E", "nonterminal", 2),)
+    out_of_order = (d.Substitution("T_R1_R1", "T_R1", "nonterminal", 3),
+                    d.Substitution("T_R1", "T", "nonterminal", 2))
+    for ledger in (cyclic, looped, out_of_order):
+        with pytest.raises(d.GrammarError, match="ledger lists a stand-in"):
+            d.build_hd(expr_cnf, ledger)
+
+
+def test_map_tree_names_a_label_missing_from_hd(expr_cnf):
+    tree = d.extract_tree(expr_cnf, "a+a")
+    with pytest.raises(d.GrammarError, match="ledger out of sync"):
+        d.map_tree(tree, {}, expr_cnf)
+
 
 def test_equivalence_matrices_on_golden(expr_cnf, expr_converted):
     gd, ledger = expr_converted

@@ -3,6 +3,7 @@ the full image-equality verification."""
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import pickle
 
@@ -27,6 +28,58 @@ def test_partition_requires_dyck_nf(expr_cnf):
     with pytest.raises(d.GrammarError):
         d.partition_nonterminals(expr_cnf)
 
+
+
+# ---- the bracket map ----
+
+_SIDES = {(True, True): "both_terminal", (True, False): "left_terminal",
+          (False, True): "right_terminal", (False, False): "no_terminal"}
+
+
+@pytest.mark.parametrize("fixture", ["expr_converted", "dyck_corpus",
+                                     "elin_converted"])
+def test_bracket_map_matches_its_derivations(request, fixture):
+    value = request.getfixturevalue(fixture)
+    grammars = ([value[0]] if fixture == "expr_converted"
+                else [gd for _, gd, _ in value])
+    for gd in grammars:
+        pairs = d.pairing_of(gd)
+        code = {}
+        for k, (left, right) in enumerate(pairs, start=1):
+            code[left], code[right] = k, -k
+        traces = d.trace_language(gd, 6)
+        assert traces
+        for tr in traces:
+            assert d.trace_as_brackets(gd, tr) == tuple(code[x] for x in tr)
+
+        letter = {r.lhs: r.rhs[0] for r in gd.rules if len(r.rhs) == 1}
+        assert list(d.build_phi(gd).items()) == [
+            (nt, letter.get(nt, "")) for nt in gd.nonterminals
+            if nt != gd.start]
+
+        has_term = {nt for nt in letter if nt != gd.start}
+        part = {side: [] for side in _SIDES.values()}
+        for left, right in pairs:
+            part[_SIDES[left in has_term, right in has_term]].append(
+                (left, right))
+        assert d.partition_nonterminals(gd) == part
+
+
+def test_bracket_map_results_are_copies(expr_cnf):
+    gd, _ = d.to_dyck_nf(expr_cnf)
+    for call, mutate in (
+            (d.build_phi, lambda phi: phi.update(T="#", E1="a")),
+            (d.pairing_of, lambda pairs: pairs.append(pairs.pop(0))),
+            (d.partition_nonterminals,
+             lambda part: part["no_terminal"].append(("E2", "T_R1")))):
+        before = copy.deepcopy(call(gd))
+        mutate(call(gd))
+        assert call(gd) == before, call
+    # the extension's pairs are numbered in a copy of the base map
+    assert d.verify_characterization(gd, 5).ok
+    with pytest.raises(d.GrammarError, match="not a paired bracket"):
+        d.trace_as_brackets(gd, ("Lift1", "Drop1"))
+    assert "Lift1" not in d.build_phi(gd)
 
 def test_extension_adds_one_pair_per_start_terminal(expr_converted):
     gd, _ = expr_converted
