@@ -87,7 +87,6 @@ def _split_flanks(g):
         if body not in mids:
             counter += 1
             name = fresh_name(f"Mid{counter}", used)
-            used.add(name)
             nt_set.add(name)
             nts.append(name)
             mids[body] = name
@@ -117,13 +116,10 @@ def _binarize_steps(g):
         if r.rhs not in helpers:
             counter += 1
             ln = fresh_name(f"L{counter}", used)
-            used.add(ln)
             if len(r.rhs) == 3:
                 a, y, b = r.rhs
                 mn = fresh_name(f"M{counter}", used)
-                used.add(mn)
                 rn = fresh_name(f"R{counter}", used)
-                used.add(rn)
                 nts.extend([ln, mn, rn])
                 extra.extend([Rule(ln, (a,)), Rule(mn, (y, rn)),
                               Rule(rn, (b,))])
@@ -131,7 +127,6 @@ def _binarize_steps(g):
             else:
                 a, b = r.rhs
                 rn = fresh_name(f"R{counter}", used)
-                used.add(rn)
                 nts.extend([ln, rn])
                 extra.extend([Rule(ln, (a,)), Rule(rn, (b,))])
                 helpers[r.rhs] = (ln, rn)
@@ -146,6 +141,11 @@ def elin_to_dyck_nf(g):
     have a terminal rule on at least one side of every bracket pair; if
     that ever failed the pipeline would raise PipelineShapeError rather
     than hand over a grammar the recognizer cannot handle.
+
+    The ledger covers only to_dyck_nf's stand-ins over the internal ladder
+    grammar, not its fresh start S0 or L/M/R/Mid helpers, so build_hd and
+    map_tree cannot take a tree back to the input: there map_tree raises
+    "tree root is S0, expected S" (for an input start S used in a body).
     """
     validate(g)
     if not is_even_linear(g):

@@ -29,6 +29,7 @@ Tuples keep trees hashable, which the tree-enumeration code relies on.
 from __future__ import annotations
 
 import re
+import reprlib
 from functools import cached_property
 from itertools import groupby
 from operator import attrgetter
@@ -504,34 +505,47 @@ def tree_label(tree):
 def validate_tree(g, tree):
     """Check that a parse tree of g's start symbol applies only rules of g.
 
-    Raises GrammarError if not.  Returns the tree's internal labels in
+    Raises GrammarError if not, or if a node is neither a terminal string
+    nor a (label, children) pair.  Returns the tree's internal labels in
     preorder (depth first, left to right), the root first.
     """
     heads = g._heads
     if isinstance(tree, str):
         raise GrammarError(f"root of a parse tree must be a nonterminal node,"
                            f" got leaf {tree!r}")
-    label, _ = tree
-    if label != g.start:
-        raise GrammarError(f"tree root is {label}, expected {g.start}")
-    # preorder over an explicit stack, so deep trees cannot exhaust recursion
     terminals = g._t_set
     labels = []
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if not isinstance(node, tuple):
-            if node not in terminals:
-                raise GrammarError(f"leaf {node!r} is not a terminal")
-            continue
-        label, children = node
-        rhs = tuple(c if isinstance(c, str) else c[0] for c in children)
-        if (label, rhs) not in heads.get(label, ()):
-            raise GrammarError(f"tree applies {Rule(label, rhs)}, "
-                               f"which is not a rule of the grammar")
-        labels.append(label)
-        stack.extend(reversed(children))
+    node = tree
+    try:
+        label, _ = tree
+        if label != g.start:
+            raise GrammarError(f"tree root is {label}, expected {g.start}")
+        # preorder on an explicit stack, so deep trees need no recursion
+        stack = [tree]
+        while stack:
+            node = stack.pop()
+            if not isinstance(node, tuple):
+                if node not in terminals:
+                    raise GrammarError(f"leaf {node!r} is not a terminal")
+                continue
+            label, children = node
+            rhs = tuple(c if isinstance(c, str) else c[0] for c in children)
+            if (label, rhs) not in heads.get(label, ()):
+                raise GrammarError(f"tree applies {Rule(label, rhs)}, "
+                                   f"which is not a rule of the grammar")
+            labels.append(label)
+            stack.extend(reversed(children))
+    except GrammarError:
+        raise
+    except (TypeError, ValueError, IndexError) as e:
+        raise _malformed_tree(node, e) from None
     return labels
+
+
+def _malformed_tree(node, error):
+    # the node is shown abridged, so a deep one prints short
+    return GrammarError(
+        f"malformed parse tree node {reprlib.repr(node)}: {error}")
 
 
 def leftmost_derivation(g, tree):
@@ -563,13 +577,15 @@ def _rewrite(g, tree):
 # ---- fresh names and isomorphism ----
 
 def fresh_name(base, used):
-    """base itself if unused, else base_2, base_3, ... deterministic."""
-    if base not in used:
-        return base
+    """base itself if unused, else base_2, base_3, ... deterministic.  The
+    name returned is added to the set `used`."""
+    name = base
     k = 2
-    while f"{base}_{k}" in used:
+    while name in used:
+        name = f"{base}_{k}"
         k += 1
-    return f"{base}_{k}"
+    used.add(name)
+    return name
 
 
 def find_isomorphism(g1, g2):

@@ -11,7 +11,8 @@ stand-in nonterminals that take over part of an existing nonterminal's job:
 
   1. split terminal-rule conflicts: a non-start nonterminal keeps at most a
      single direct terminal rule and, if it also has binary rules, hands the
-     terminal rule to a fresh stand-in (`X_t1`, `X_t2`, ...);
+     terminal rule to a fresh stand-in (`X_t1`, `X_t2`, ...); every move is
+     planned before the first is made;
   2. separate sides: each nonterminal that occurs both as a left child and
      as a right child hands its right occurrences to fresh stand-ins, one
      per distinct left neighbor (`X_R1`, ...), which inherit all its rules;
@@ -21,7 +22,8 @@ stand-in nonterminals that take over part of an existing nonterminal's job:
      (`X_L1`/`X_R1` by the side it occupies) that inherits the current
      rules of the one it replaces.
 
-Neither step 2 nor step 3 restarts its search after a fix.
+All three steps are single forward passes that never restart, and their
+rule soup (_Conversion) only appends and rewrites rules, never drops one.
 
 Every stand-in is recorded in a ledger, and collapsing stand-ins back to
 their originals (build_hd / map_tree) turns any parse tree of the converted
@@ -34,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cyk import build_table
-from .grammar import (Grammar, GrammarError, Rule, _check,
+from .grammar import (Grammar, GrammarError, Rule, _check, _malformed_tree,
                       dyck_nf_violations, fresh_name, is_cnf, validate,
                       validate_tree)
 
@@ -175,7 +177,6 @@ def to_cnf(g):
             if s not in lit:
                 safe = s if s.isalnum() else f"u{ord(s):04x}"
                 name = fresh_name(f"Lit_{safe}", used)
-                used.add(name)
                 nts.append(name)
                 lit[s] = name
             body.append(lit[s])
@@ -189,7 +190,6 @@ def to_cnf(g):
         lhs = r.lhs
         while len(body) > 2:
             name = fresh_name(f"{r.lhs}_tail", used)
-            used.add(name)
             nts.append(name)
             out.append(Rule(lhs, (body[0], name)))
             lhs = name
@@ -207,29 +207,27 @@ def to_cnf(g):
 # ---- Dyck normal form ----
 
 class _Conversion:
-    """Mutable rule soup for the three conversion steps.
+    """Rule soup for the three conversion steps, which only append rules
+    and rewrite them in place.
 
     Next to the rule list it keeps the positions of each head's rules and of
     each body's rules in that list, so the steps look rules up instead of
-    rescanning the list.
+    rescanning the list.  A step adds or rewrites only rules that hold a
+    symbol it has just minted, one per source rule and place, so no rule
+    repeats and the soup needs no duplicate check.
     """
 
-    def __init__(self, g):
-        self.start = g.start
+    def __init__(self, g, left_out):
         self.nts = list(g.nonterminals)
-        self.terminals = list(g.terminals)
-        self._reset(g.rules)
-        self.used = set(self.nts) | set(self.terminals)
+        self.used = set(self.nts) | set(g.terminals)
         self.counters = {}
         self.ledger = []
-
-    def _reset(self, rules):
         self.rules = []
-        self.rule_set = set()
         self.by_head = {}
         self.by_body = {}
-        for r in rules:
-            self.add(r)
+        for r in g.rules:
+            if r not in left_out:
+                self.add(r)
 
     def fresh(self, base, tag, kind, step):
         k = self.counters.get((base, tag), 0) + 1
@@ -244,34 +242,24 @@ class _Conversion:
         return name
 
     def add(self, rule):
-        if rule not in self.rule_set:
-            self.by_head.setdefault(rule.lhs, []).append(len(self.rules))
-            self.by_body.setdefault(rule.rhs, []).append(len(self.rules))
-            self.rules.append(rule)
-            self.rule_set.add(rule)
+        self.by_head.setdefault(rule.lhs, []).append(len(self.rules))
+        self.by_body.setdefault(rule.rhs, []).append(len(self.rules))
+        self.rules.append(rule)
 
-    def remove(self, rule):
-        # positions shift, so every index is rebuilt; only step 1 removes
-        rules = self.rules
-        rules.remove(rule)
-        self._reset(rules)
-
-    def replace_at(self, i, rule):
-        """Put `rule`, which has the same head, at position i."""
-        self.by_body[self.rules[i].rhs].remove(i)
-        self.rule_set.discard(self.rules[i])
-        self.rules[i] = rule
-        self.rule_set.add(rule)
-        self.by_body.setdefault(rule.rhs, []).append(i)
-
-    def rules_of(self, nt):
-        return [self.rules[i] for i in self.by_head.get(nt, ())]
-
-    def positions_of(self, body):
-        return list(self.by_body.get(body, ()))
-
-    def grammar(self):
-        return Grammar(self.nts, self.terminals, self.start, self.rules)
+    def stand_in(self, body, side, step):
+        """Mint a stand-in for the `side` ("L" or "R") element of `body`,
+        rewrite every rule with that body to use it, and give it the current
+        rules of the symbol it replaces."""
+        b, c = body
+        old = b if side == "L" else c
+        f = self.fresh(old, side, "nonterminal", step)
+        new = (f, c) if side == "L" else (b, f)
+        at = self.by_body.pop(body)
+        for i in at:
+            self.rules[i] = Rule(self.rules[i].lhs, new)
+        self.by_body[new] = at
+        for i in self.by_head.get(old, ()):
+            self.add(Rule(f, self.rules[i].rhs))
 
 
 def to_dyck_nf(g):
@@ -293,11 +281,10 @@ def to_dyck_nf(g):
                 f"start symbol {g.start} occurs in rule body {r}; introduce "
                 f"a fresh start first (to_cnf does this)")
 
-    st = _Conversion(g)
-    _split_terminal_conflicts(st)
+    st = _split_terminal_conflicts(g)
     _separate_sides(st)
     _make_pairing(st)
-    out = st.grammar()
+    out = Grammar(st.nts, g.terminals, g.start, st.rules)
     bad = dyck_nf_violations(out)
     if bad:
         raise AssertionError(f"conversion postcondition failed: {bad}")
@@ -305,46 +292,43 @@ def to_dyck_nf(g):
 
 
 def _duplicate_occurrences(st, old, new):
-    """For each binary body using `old`, add the variant(s) using `new`.
+    """For each binary body using `old`, add the variants with `new` in some
+    or all of its places.
 
     The original rules stay: the stand-in is an alternative reading, not a
     replacement, at this step.  A body using `old` twice gets all three
-    variants.
+    variants, in the order (new, old), (old, new), (new, new).
     """
-    for r in list(st.rules):
-        if len(r.rhs) != 2:
-            continue
-        b, c = r.rhs
-        if b == old and c == old:
-            st.add(Rule(r.lhs, (new, old)))
-            st.add(Rule(r.lhs, (old, new)))
-            st.add(Rule(r.lhs, (new, new)))
-        elif b == old:
-            st.add(Rule(r.lhs, (new, c)))
-        elif c == old:
-            st.add(Rule(r.lhs, (b, new)))
+    for lhs, (b, c) in [r for r in st.rules if len(r.rhs) == 2]:
+        for y in (c, new) if c == old else (c,):
+            for x in (b, new) if b == old else (b,):
+                if (x, y) != (b, c):
+                    st.add(Rule(lhs, (x, y)))
 
 
-def _split_terminal_conflicts(st):
-    """Step 1: at most one terminal rule per non-start head, and only alone."""
-    # several direct terminal rules: keep the first, fresh stand-ins for the
-    # rest
-    for a in [nt for nt in st.nts if nt != st.start]:
-        trules = [r for r in st.rules_of(a) if len(r.rhs) == 1]
-        for tr in trules[1:]:
-            f = st.fresh(a, "t", "terminal", 1)
-            st.remove(tr)
-            st.add(Rule(f, tr.rhs))
-            _duplicate_occurrences(st, a, f)
-    # a terminal rule next to binary rules: the terminal rule moves out
-    for a in [nt for nt in st.nts if nt != st.start]:
-        rules_a = st.rules_of(a)
+def _split_terminal_conflicts(g):
+    """Step 1: at most one terminal rule per non-start head, and only alone.
+
+    Moves every terminal rule of a non-start head but its first, then the
+    first too where the head has a binary rule, to fresh stand-ins.  Stand-ins
+    only add binary rules to heads that have one, so the plan is made first
+    and the soup it returns starts without the moved rules.
+    """
+    extra, first = [], []
+    heads = g._heads
+    for a in g.nonterminals:
+        rules_a = heads.get(a, ())
         trules = [r for r in rules_a if len(r.rhs) == 1]
-        if trules and len(trules) < len(rules_a):
-            f = st.fresh(a, "t", "terminal", 1)
-            st.remove(trules[0])
-            st.add(Rule(f, trules[0].rhs))
-            _duplicate_occurrences(st, a, f)
+        if a != g.start and trules:
+            extra += trules[1:]
+            if len(trules) < len(rules_a):
+                first.append(trules[0])
+    st = _Conversion(g, set(extra + first))
+    for tr in extra + first:
+        f = st.fresh(tr.lhs, "t", "terminal", 1)
+        st.add(Rule(f, tr.rhs))
+        _duplicate_occurrences(st, tr.lhs, f)
+    return st
 
 
 def _separate_sides(st):
@@ -368,11 +352,7 @@ def _separate_sides(st):
             neighbors.setdefault(r.rhs[1], {})[r.rhs[0]] = None
     for a in [nt for nt in st.nts if nt in lefts and nt in neighbors]:
         for z in neighbors[a]:
-            f = st.fresh(a, "R", "nonterminal", 2)
-            for i in st.positions_of((z, a)):
-                st.replace_at(i, Rule(st.rules[i].lhs, (z, f)))
-            for r in st.rules_of(a):
-                st.add(Rule(f, r.rhs))
+            st.stand_in((z, a), "R", 2)
 
 
 def _make_pairing(st):
@@ -400,9 +380,9 @@ def _make_pairing(st):
             continue
         b, c = body
         if canon_left.get(c, b) != b:
-            shared, side = c, "R"
+            side = "R"
         elif canon_right.get(b, c) != c:
-            shared, side = b, "L"
+            side = "L"
         else:
             canon_left[c] = b
             canon_right[b] = c
@@ -411,12 +391,7 @@ def _make_pairing(st):
         conflicts += 1
         if conflicts > 4 * len(st.nts) * max(len(st.rules), 1) + 16:
             raise AssertionError("pairing pass did not stabilize")
-        f = st.fresh(shared, side, "nonterminal", 3)
-        replacement = (b, f) if side == "R" else (f, c)
-        for j in st.positions_of(body):
-            st.replace_at(j, Rule(st.rules[j].lhs, replacement))
-        for r in st.rules_of(shared):
-            st.add(Rule(f, r.rhs))
+        st.stand_in(body, side, 3)
 
 
 # ---- collapsing stand-ins back ----
@@ -443,33 +418,43 @@ def map_tree(tree, hd, g_cnf):
 
     The relabeled tree is validated against g_cnf: a label hd lacks or a
     failed check means the ledger does not describe the conversion that
-    actually happened, so it raises instead of returning garbage.
+    actually happened, so it raises instead of returning garbage.  A
+    malformed tree raises validate_tree's refusal of one.
     """
     _check(g_cnf)
+    mapped = _relabel(tree, hd)
     try:
-        mapped = _relabel(tree, hd)
         validate_tree(g_cnf, mapped)
-    except (GrammarError, KeyError) as e:
-        raise GrammarError(
-            f"tree does not collapse into the source grammar "
-            f"(substitution ledger out of sync): {e}") from e
+    except GrammarError as e:
+        raise GrammarError(f"{_OUT_OF_SYNC}: {e}") from e
     return mapped
+
+
+_OUT_OF_SYNC = ("tree does not collapse into the source grammar "
+                "(substitution ledger out of sync)")
 
 
 def _relabel(tree, hd):
     # postorder over an explicit stack, so deep trees cannot exhaust recursion
     done = []
-    stack = [(tree, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if isinstance(node, str):
-            done.append(node)
-        elif expanded:
-            at = len(done) - len(node[1])
-            done[at:] = [(hd[node[0]], tuple(done[at:]))]
-        else:
-            stack.append((node, True))
-            stack.extend((c, False) for c in reversed(node[1]))
+    stack = [(tree, None)]
+    try:
+        while stack:
+            node, label = stack.pop()
+            if isinstance(node, str):
+                done.append(node)
+            elif label is not None:
+                at = len(done) - len(node[1])
+                done[at:] = [(label, tuple(done[at:]))]
+            else:
+                label, children = node
+                stack.append((node, hd[label]))
+                stack.extend((c, None) for c in reversed(children))
+    except KeyError as e:
+        raise GrammarError(
+            f"{_OUT_OF_SYNC}: hd has no entry for {e}") from None
+    except (TypeError, ValueError, IndexError) as e:
+        raise _malformed_tree(node, e) from None
     return done[0]
 
 

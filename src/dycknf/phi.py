@@ -96,9 +96,7 @@ def extend_grammar(g):
             continue
         i += 1
         left = fresh_name(f"Lift{i}", used)
-        used.add(left)
         right = fresh_name(f"Drop{i}", used)
-        used.add(right)
         nts.extend([left, right])
         rules.append(Rule(g.start, (left, right)))
         rules.append(Rule(left, (r.rhs[0],)))

@@ -354,6 +354,47 @@ def test_deep_tree_needs_no_recursion():
         d.validate_tree(g, ("S", (("A", ("a",)), bad)))
 
 
+# trees that break the (label, children) shape somewhere
+MALFORMED_TREES = {
+    "int leaf": ("S", (5,)),
+    "no children": ("S",),
+    "list leaf": ("S", (["a"],)),
+    "none": None,
+    "int root": 5,
+    "three fields": ("S", ("a",), "extra"),
+    "one-field child": ("S", (("A",), ("A", ("a",)))),
+    "empty child": ("S", ((), ("A", ("a",)))),
+    "int children": ("S", 5),
+}
+
+
+def test_malformed_trees_get_a_named_refusal():
+    g = d.parse_grammar("start: S\nS -> A A | 'a'\nA -> 'a'")
+    hd = d.build_hd(g, ())
+    calls = {
+        "validate_tree": lambda t: d.validate_tree(g, t),
+        "trace_word": lambda t: d.trace_word(g, t),
+        "leftmost_derivation": lambda t: d.leftmost_derivation(g, t),
+        "trace_from_rewriting": lambda t: d.trace_from_rewriting(g, t),
+        "map_tree": lambda t: d.map_tree(t, hd, g),
+    }
+    wrong = []
+    for kind, tree in MALFORMED_TREES.items():
+        for name, call in calls.items():
+            try:
+                call(tree)
+            except d.GrammarError as e:
+                if "malformed parse tree node" not in str(e):
+                    wrong.append((kind, name, str(e)))
+            except Exception as e:
+                wrong.append((kind, name, repr(e)))
+            else:
+                wrong.append((kind, name, "accepted"))
+    assert wrong == []
+    with pytest.raises(d.GrammarError, match=r"node \('S', \(5,\)\)"):
+        d.validate_tree(g, MALFORMED_TREES["int leaf"])
+
+
 def test_leftmost_derivation_replays(expr_cnf):
     tree = d.extract_tree(expr_cnf, "a*a+a")
     steps = d.leftmost_derivation(expr_cnf, tree)
@@ -371,6 +412,11 @@ def test_fresh_name():
     used = {"A", "A_2"}
     assert d.fresh_name("B", used) == "B"
     assert d.fresh_name("A", used) == "A_3"
+    # each name returned is recorded, so repeated calls never collide
+    assert used == {"A", "A_2", "A_3", "B"}
+    assert d.fresh_name("A", used) == "A_4"
+    assert d.fresh_name("B", used) == "B_2"
+    assert used == {"A", "A_2", "A_3", "A_4", "B", "B_2"}
 
 
 # ---- isomorphism checker ----

@@ -105,6 +105,48 @@ def test_golden_ledger(expr_converted):
         ("E1_R1", "E1"), ("T1_R1", "T1"), ("E2_L1", "E2")}
 
 
+def test_step_one_moves_every_extra_terminal_rule_first():
+    # A and B each have two terminal rules next to a binary rule; Z has no
+    # rules and occurs on both sides of bodies
+    R = d.Rule
+    g = d.Grammar(["S", "A", "B", "Z"], ["a", "b", "c"], "S", [
+        R("S", ("A", "B")), R("A", ("a",)), R("A", ("Z", "B")),
+        R("A", ("b",)), R("B", ("b",)), R("B", ("A", "Z")), R("B", ("c",))])
+    gd, ledger = d.to_dyck_nf(g)
+    assert [(s.fresh, s.original, s.kind, s.step) for s in ledger[:4]] == [
+        ("A_t1", "A", "terminal", 1), ("B_t1", "B", "terminal", 1),
+        ("A_t2", "A", "terminal", 1), ("B_t2", "B", "terminal", 1)]
+    assert [s.fresh for s in ledger[4:]] == [
+        "Z_R1", "Z_R2", "Z_R3", "B_R1", "A_L1", "B_R2", "A_t1_L1", "A_L2",
+        "B_t1_R1", "Z_L1", "B_t1_R2", "A_t1_L2", "B_R3", "A_t2_L1",
+        "B_t1_R3", "A_t2_L2", "A_L3", "B_t2_R1", "Z_L2", "B_t2_R2",
+        "A_t1_L3", "B_t2_R3", "A_t2_L3"]
+    assert gd.nonterminals == ["S", "A", "B", "Z"] + [
+        s.fresh for s in ledger]
+    assert [str(r) for r in gd.rules] == [
+        "S -> A B", "A -> Z B_R1", "B -> A_L1 Z_R1",
+        "A_t1 -> b", "S -> A_t1 B_R2", "B -> A_t1_L1 Z_R2",
+        "B_t1 -> c", "S -> A_L2 B_t1", "A -> Z_L1 B_t1_R1",
+        "S -> A_t1_L2 B_t1_R2",
+        "A_t2 -> a", "S -> A_t2 B_R3", "B -> A_t2_L1 Z_R3",
+        "S -> A_t2_L2 B_t1_R3",
+        "B_t2 -> b", "S -> A_L3 B_t2", "A -> Z_L2 B_t2_R1",
+        "S -> A_t1_L3 B_t2_R2", "S -> A_t2_L3 B_t2_R3",
+        "B_R1 -> A_L1 Z_R1", "B_R1 -> A_t1_L1 Z_R2", "B_R1 -> A_t2_L1 Z_R3",
+        "A_L1 -> Z B_R1", "A_L1 -> Z_L1 B_t1_R1", "A_L1 -> Z_L2 B_t2_R1",
+        "B_R2 -> A_L1 Z_R1", "B_R2 -> A_t1_L1 Z_R2", "B_R2 -> A_t2_L1 Z_R3",
+        "A_t1_L1 -> b",
+        "A_L2 -> Z B_R1", "A_L2 -> Z_L1 B_t1_R1", "A_L2 -> Z_L2 B_t2_R1",
+        "B_t1_R1 -> c", "B_t1_R2 -> c", "A_t1_L2 -> b",
+        "B_R3 -> A_L1 Z_R1", "B_R3 -> A_t1_L1 Z_R2", "B_R3 -> A_t2_L1 Z_R3",
+        "A_t2_L1 -> a", "B_t1_R3 -> c", "A_t2_L2 -> a",
+        "A_L3 -> Z B_R1", "A_L3 -> Z_L1 B_t1_R1", "A_L3 -> Z_L2 B_t2_R1",
+        "B_t2_R1 -> b", "B_t2_R2 -> b", "A_t1_L3 -> b", "B_t2_R3 -> b",
+        "A_t2_L3 -> a"]
+    assert d.enumerate_words(gd, 6) == d.enumerate_words(g, 6) == [
+        "ab", "ac", "bb", "bc"]
+
+
 def test_pairing_of_golden(expr_converted):
     gd, _ = expr_converted
     names = dict(d.pairing_of(gd))
