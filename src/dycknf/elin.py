@@ -3,11 +3,12 @@ recognizer whose quantifier alternation stays logarithmic in the word length.
 
 An even linear grammar has at most one nonterminal per body, flanked by
 equally long terminal strings.  elin_to_dyck_nf converts such a grammar so
-that derivations keep their ladder shape: every step opens a bracket that
-carries the next letter from the left end, and closes one that carries the
-matching letter from the right end.  The payoff is partition structure - no
-bracket pair ends up with both sides rewritten further - which makes
-membership checkable by local inspection of adjacent ladder steps.
+that derivations keep their ladder shape: one pass over the rules cuts each
+body to a single step, which opens a bracket that carries the next letter
+from the left end and closes one that carries the matching letter from the
+right end.  The payoff is partition structure - no bracket pair ends up
+with both sides rewritten further - which makes membership checkable by
+local inspection of adjacent ladder steps.
 
 recognize_atm exploits that: a word of length n forces exactly
 p = (n - 1) // 2 ladder steps, and membership says "there are bracket pairs
@@ -62,85 +63,59 @@ def is_even_linear(g):
 
 # ---- conversion pipeline ----
 
-def _split_flanks(g):
-    """Cut flanks down to single letters: X -> a Y b, X -> a b or X -> a.
+def _ladder(g):
+    """Cut every body down to one bracket-shaped ladder step, in one pass.
 
-    Longer flanks move into fresh middle symbols, one per distinct leftover
-    body, so rules that share a tail share the symbol.
+    A flank longer than one letter moves into a fresh middle symbol, one
+    per distinct leftover body (`Mid1`, ...), whose rule joins the end of
+    the pass.  Then X -> a Y b becomes X -> L M with L -> a, M -> Y R,
+    R -> b; X -> a b becomes X -> L R with L -> a, R -> b; X -> a stays.
+    Rules with the same body share one step triple, so the step symbols
+    double as the bracket pairs of the eventual Dyck normal form.
     """
-    nts = list(g.nonterminals)
-    nt_set = set(nts)
-    used = nt_set | set(g.terminals)
+    used = set(g.nonterminals) | set(g.terminals)
     mids = {}
-    counter = 0
+    steps = {}
+    step_nts = []
     rules = []
+    extra = []
     pending = deque(g.rules)
     while pending:
-        r = pending.popleft()
-        rhs = r.rhs
-        nt_at = next((i for i, s in enumerate(rhs) if s in nt_set), None)
-        if (nt_at is None and len(rhs) <= 2) or (nt_at is not None
-                                                 and nt_at <= 1):
-            rules.append(r)
+        lhs, rhs = pending.popleft()
+        if len(rhs) > 2 and not (len(rhs) == 3 and g.is_nonterminal(rhs[1])):
+            body = rhs[1:-1]
+            if body not in mids:
+                mids[body] = fresh_name(f"Mid{len(mids) + 1}", used)
+                pending.append(Rule(mids[body], body))
+            rhs = (rhs[0], mids[body], rhs[-1])
+        if len(rhs) == 1:
+            rules.append(Rule(lhs, rhs))
             continue
-        body = rhs[1:-1]
-        if body not in mids:
-            counter += 1
-            name = fresh_name(f"Mid{counter}", used)
-            nt_set.add(name)
-            nts.append(name)
-            mids[body] = name
-            pending.append(Rule(name, body))
-        rules.append(Rule(r.lhs, (rhs[0], mids[body], rhs[-1])))
-    return Grammar(nts, g.terminals, g.start, rules)
-
-
-def _binarize_steps(g):
-    """Turn single-flank rules into bracket-shaped binary steps.
-
-    X -> a Y b becomes X -> L M with L -> a, M -> Y R, R -> b; X -> a b
-    becomes X -> L R with L -> a, R -> b; X -> a stays.  Rules with the
-    same body share one helper triple, so the step symbols double as the
-    bracket pairs of the eventual Dyck normal form.
-    """
-    nts = list(g.nonterminals)
-    used = set(nts) | set(g.terminals)
-    helpers = {}
-    extra = []
-    counter = 0
-    rules = []
-    for r in g.rules:
-        if len(r.rhs) == 1:
-            rules.append(r)
-            continue
-        if r.rhs not in helpers:
-            counter += 1
-            ln = fresh_name(f"L{counter}", used)
-            if len(r.rhs) == 3:
-                a, y, b = r.rhs
-                mn = fresh_name(f"M{counter}", used)
-                rn = fresh_name(f"R{counter}", used)
-                nts.extend([ln, mn, rn])
-                extra.extend([Rule(ln, (a,)), Rule(mn, (y, rn)),
-                              Rule(rn, (b,))])
-                helpers[r.rhs] = (ln, mn)
-            else:
-                a, b = r.rhs
-                rn = fresh_name(f"R{counter}", used)
-                nts.extend([ln, rn])
-                extra.extend([Rule(ln, (a,)), Rule(rn, (b,))])
-                helpers[r.rhs] = (ln, rn)
-        rules.append(Rule(r.lhs, helpers[r.rhs]))
-    return Grammar(nts, g.terminals, g.start, rules + extra)
+        if rhs not in steps:
+            k = len(steps) + 1
+            names = [fresh_name(f"{tag}{k}", used)
+                     for tag in ("LMR" if len(rhs) == 3 else "LR")]
+            step_nts += names
+            extra.append(Rule(names[0], rhs[:1]))
+            if len(rhs) == 3:
+                extra.append(Rule(names[1], (rhs[1], names[2])))
+            extra.append(Rule(names[-1], rhs[-1:]))
+            steps[rhs] = tuple(names[:2])
+        rules.append(Rule(lhs, steps[rhs]))
+    return Grammar(g.nonterminals + list(mids.values()) + step_nts,
+                   g.terminals, g.start, rules + extra)
 
 
 def elin_to_dyck_nf(g):
     """Dyck normal form for an even linear grammar, ladder shape intact.
 
-    Returns (grammar, ledger) like to_dyck_nf.  The output is guaranteed to
-    have a terminal rule on at least one side of every bracket pair; if
-    that ever failed the pipeline would raise PipelineShapeError rather
-    than hand over a grammar the recognizer cannot handle.
+    After cleanup, a fresh start and unit collapse, the one ladder pass
+    (_ladder) cuts every body to a shared L/M/R step, and to_dyck_nf
+    finishes.  Returns (grammar, ledger) like to_dyck_nf.  The output is
+    guaranteed to have a terminal rule on at least one side of every
+    bracket pair; if that ever failed the pipeline would raise
+    PipelineShapeError rather than hand over a grammar the recognizer
+    cannot handle.
 
     The ledger covers only to_dyck_nf's stand-ins over the internal ladder
     grammar, not its fresh start S0 or L/M/R/Mid helpers, so build_hd and
@@ -155,9 +130,7 @@ def elin_to_dyck_nf(g):
     g = with_fresh_start(g)
     g = collapse_units(g)
     g = cleanup(g)
-    g = _split_flanks(g)
-    g = _binarize_steps(g)
-    out, ledger = to_dyck_nf(g)
+    out, ledger = to_dyck_nf(_ladder(g))
     leftovers = partition_nonterminals(out)["no_terminal"]
     if leftovers:
         raise PipelineShapeError(

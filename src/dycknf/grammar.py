@@ -506,8 +506,9 @@ def validate_tree(g, tree):
     """Check that a parse tree of g's start symbol applies only rules of g.
 
     Raises GrammarError if not, or if a node is neither a terminal string
-    nor a (label, children) pair.  Returns the tree's internal labels in
-    preorder (depth first, left to right), the root first.
+    nor a (label, children) tuple with a tuple of children.  Returns the
+    tree's internal labels in preorder (depth first, left to right), the
+    root first.
     """
     heads = g._heads
     if isinstance(tree, str):
@@ -529,6 +530,8 @@ def validate_tree(g, tree):
                     raise GrammarError(f"leaf {node!r} is not a terminal")
                 continue
             label, children = node
+            if not isinstance(children, tuple):
+                raise TypeError("children are not a tuple")
             rhs = tuple(c if isinstance(c, str) else c[0] for c in children)
             if (label, rhs) not in heads.get(label, ()):
                 raise GrammarError(f"tree applies {Rule(label, rhs)}, "

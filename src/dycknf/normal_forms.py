@@ -25,10 +25,12 @@ stand-in nonterminals that take over part of an existing nonterminal's job:
 All three steps are single forward passes that never restart, and their
 rule soup (_Conversion) only appends and rewrites rules, never drops one.
 
-Every stand-in is recorded in a ledger, and collapsing stand-ins back to
-their originals (build_hd / map_tree) turns any parse tree of the converted
-grammar into a parse tree of the input, which is how language preservation
-is verified cell-by-cell on CYK tables (verify_equivalence_matrices).
+Every stand-in is recorded in a ledger, after the symbol it stands in for,
+so one forward read of the ledger takes each stand-in to its original.
+Collapsing stand-ins back that way (build_hd / map_tree) turns any parse
+tree of the converted grammar into a parse tree of the input, which is how
+language preservation is verified cell-by-cell on CYK tables
+(verify_equivalence_matrices).
 """
 
 from __future__ import annotations
@@ -157,45 +159,31 @@ def to_cnf(g):
     if is_cnf(g) and all(g.start not in r.rhs for r in g.rules):
         return g
 
+    # one pass: terminals inside long bodies move behind fresh single-rule
+    # heads, then long bodies split into chains of binary rules
     g = with_fresh_start(g)
     used = set(g.nonterminals) | set(g.terminals)
-    nts = list(g.nonterminals)
-    rules = list(g.rules)
-
-    # terminals inside long bodies move behind fresh single-rule heads
     lit = {}
-    out = []
-    for r in rules:
-        if len(r.rhs) < 2:
-            out.append(r)
-            continue
-        body = []
-        for s in r.rhs:
-            if not g.is_terminal(s):
-                body.append(s)
-                continue
-            if s not in lit:
-                safe = s if s.isalnum() else f"u{ord(s):04x}"
-                name = fresh_name(f"Lit_{safe}", used)
-                nts.append(name)
-                lit[s] = name
-            body.append(lit[s])
-        out.append(Rule(r.lhs, tuple(body)))
-    rules = out + [Rule(name, (t,)) for t, name in lit.items()]
-
-    # long bodies split into chains of binary rules
-    out = []
-    for r in rules:
-        body = list(r.rhs)
-        lhs = r.lhs
+    tails = []
+    rules = []
+    for lhs, rhs in g.rules:
+        body = list(rhs)
+        for k, s in enumerate(rhs):
+            if len(rhs) > 1 and g.is_terminal(s):
+                if s not in lit:
+                    safe = s if s.isalnum() else f"u{ord(s):04x}"
+                    lit[s] = fresh_name(f"Lit_{safe}", used)
+                body[k] = lit[s]
+        head = lhs
         while len(body) > 2:
-            name = fresh_name(f"{r.lhs}_tail", used)
-            nts.append(name)
-            out.append(Rule(lhs, (body[0], name)))
-            lhs = name
+            name = fresh_name(f"{lhs}_tail", used)
+            tails.append(name)
+            rules.append(Rule(head, (body[0], name)))
+            head = name
             body = body[1:]
-        out.append(Rule(lhs, tuple(body)))
-    rules = out
+        rules.append(Rule(head, tuple(body)))
+    rules += [Rule(name, (t,)) for t, name in lit.items()]
+    nts = g.nonterminals + list(lit.values()) + tails
 
     result = cleanup(collapse_units(Grammar(nts, g.terminals, g.start,
                                             rules)))
@@ -399,16 +387,14 @@ def _make_pairing(st):
 def build_hd(g_dyck, ledger):
     """Total map sending every stand-in chain back to its original symbol.
 
-    Terminals map to themselves.  Composing the ledger transitively means a
-    stand-in of a stand-in still collapses to the true original.  A cyclic
-    or out-of-order ledger raises _closures' GrammarError.
+    Terminals map to themselves.  One forward read of the ledger
+    (_ledger_roots) takes a stand-in of a stand-in to the true original.
+    A cyclic or out-of-order ledger, or one with a stand-in g_dyck does not
+    declare, raises its GrammarError.
     """
     _check(g_dyck)
-    desc_any, _ = _closures(ledger)
-    fresh = {s.fresh for s in ledger}
-    root = {x: a for a, below in desc_any.items() if a not in fresh
-            for x in below}
-    hd = {nt: root.get(nt, nt) for nt in g_dyck.nonterminals}
+    root_any, _ = _ledger_roots(g_dyck, ledger)
+    hd = {nt: root_any.get(nt, nt) for nt in g_dyck.nonterminals}
     hd.update((t, t) for t in g_dyck.terminals)
     return hd
 
@@ -448,6 +434,9 @@ def _relabel(tree, hd):
                 done[at:] = [(label, tuple(done[at:]))]
             else:
                 label, children = node
+                if not (isinstance(node, tuple)
+                        and isinstance(children, tuple)):
+                    raise TypeError("not a (label, children) pair of tuples")
                 stack.append((node, hd[label]))
                 stack.extend((c, None) for c in reversed(children))
     except KeyError as e:
@@ -458,70 +447,74 @@ def _relabel(tree, hd):
     return done[0]
 
 
-# ---- cell-by-cell table equivalence ----
+def _ledger_roots(g, ledger):
+    """The ledger read once, forward, into two maps: each stand-in to the
+    original at the top of its chain of substitutions of any kind, and each
+    rule-inheriting (nonterminal-kind) stand-in to the top of its chain of
+    such substitutions.
 
-def _closures(ledger):
-    """Descendant sets over the ledger: all stand-in chains, and the chains
-    that use only rule-inheriting (nonterminal-kind) substitutions.
-
-    One pass over the ledger in reverse: to_dyck_nf records a stand-in
-    before any stand-in for it, so a fresh symbol's own sets are complete
-    when its entry is reached.  A ledger out of that order, a cycle
-    included, raises GrammarError.
+    to_dyck_nf records a stand-in before any stand-in for it, so the roots
+    of an original are final when a stand-in for it is read.  A ledger out
+    of that order, a cycle included, raises GrammarError, and so does a
+    stand-in that g does not declare.
     """
-    desc_any = {}
-    desc_nt = {}
-    done = set()
-    for s in reversed(ledger):
-        done.add(s.fresh)
-        if s.original in done:
+    root_any = {}
+    root_nt = {}
+    originals = set()
+    for s in ledger:
+        originals.add(s.original)
+        if s.fresh in originals:
             raise GrammarError(
-                f"ledger lists a stand-in for {s.original} before "
-                f"{s.original} itself")
-        below = desc_any.setdefault(s.original, set())
-        below.add(s.fresh)
-        below.update(desc_any.get(s.fresh, ()))
+                f"ledger lists a stand-in for {s.fresh} before "
+                f"{s.fresh} itself")
+        root_any[s.fresh] = root_any.get(s.original, s.original)
         if s.kind == "nonterminal":
-            below = desc_nt.setdefault(s.original, set())
-            below.add(s.fresh)
-            below.update(desc_nt.get(s.fresh, ()))
-    return desc_any, desc_nt
+            root_nt[s.fresh] = root_nt.get(s.original, s.original)
+    for x in root_any:
+        if not g.is_nonterminal(x):
+            raise GrammarError(
+                f"ledger stand-in {x} is not a nonterminal of the grammar")
+    return root_any, root_nt
 
+
+# ---- cell-by-cell table equivalence ----
 
 def verify_equivalence_matrices(g_cnf, g_dyck, ledger, w):
     """Compare the CYK tables of original and converted grammar on one word.
 
-    Diagonal cells of the converted table must hold exactly the stand-ins
-    (terminal-rule carriers, reached through chains of any kind) of the
-    original cell's symbols for that letter; off-diagonal cells must hold
-    exactly the originals plus their rule-inheriting stand-in chains.
+    Diagonal cells of the converted table must hold exactly the symbols
+    with a rule for that letter whose chain of stand-ins, of any kind, goes
+    back to a symbol of the original cell; off-diagonal cells must hold
+    exactly the original cell's symbols plus the stand-ins whose chain of
+    rule-inheriting substitutions goes back to one of them.
 
-    Returns a list of (i, j, expected, actual) mismatches; empty means the
-    tables agree everywhere, which is the cell-by-cell witness that the
-    conversion preserved the language on this word.
+    Returns a list of (i, j, expected, actual) mismatches, the diagonal
+    first; empty means the tables agree everywhere, which is the
+    cell-by-cell witness that the conversion preserved the language on
+    this word.
     """
     v = build_table(g_cnf, w)
     vd = build_table(g_dyck, w)
-    desc_any, desc_nt = _closures(ledger)
-    has_terminal_rule = {(r.lhs, r.rhs[0])
-                         for r in g_dyck.rules if len(r.rhs) == 1}
+    root_any, root_nt = _ledger_roots(g_dyck, ledger)
+    carriers = {}  # (original, letter) -> the symbols with that rule
+    for r in g_dyck.rules:
+        if len(r.rhs) == 1:
+            carriers.setdefault((root_any.get(r.lhs, r.lhs), r.rhs[0]),
+                                set()).add(r.lhs)
+    inheritors = {}  # original -> its rule-inheriting stand-ins
+    for x, top in root_nt.items():
+        inheritors.setdefault(top, set()).add(x)
     n = len(w)
     mismatches = []
     for i in range(1, n + 1):
-        letter = w[i - 1]
-        expected = set()
-        for x in v[(i, i)]:
-            for y in {x} | desc_any.get(x, set()):
-                if (y, letter) in has_terminal_rule:
-                    expected.add(y)
+        expected = set().union(*(carriers.get((x, w[i - 1]), ())
+                                 for x in v[(i, i)]))
         if expected != vd[(i, i)]:
             mismatches.append((i, i, sorted(expected), sorted(vd[(i, i)])))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            expected = set()
-            for x in v[(i, j)]:
-                expected.add(x)
-                expected |= desc_nt.get(x, set())
+            expected = set(v[(i, j)]).union(*(inheritors.get(x, ())
+                                              for x in v[(i, j)]))
             if expected != vd[(i, j)]:
                 mismatches.append((i, j, sorted(expected),
                                    sorted(vd[(i, j)])))

@@ -67,6 +67,12 @@ def test_trace_verb_golden(capsys):
     assert "trace:" in out and "as Dyck:" in out
 
 
+def test_trace_verb_takes_a_dyck_grammar_as_it_is(capsys):
+    code, out, _ = run(capsys, "trace", f"{DATA}/expr_dyck.cfg", "a+a")
+    assert code == 0
+    assert out == "trace:   E3 E5 E4 T4\nas Dyck: [3 ]3 [6 ]6\n"
+
+
 def test_trace_verb_negatives(capsys):
     code, _, err = run(capsys, "trace", EXPR_CNF, "a+")
     assert code == 1 and "not a member" in err

@@ -339,6 +339,11 @@ def test_tree_utilities(expr_cnf):
         d.validate_tree(expr_cnf, bad)
     with pytest.raises(d.GrammarError, match="expected E0"):
         d.validate_tree(expr_cnf, ("E", ("a",)))
+    with pytest.raises(d.GrammarError, match="must be a nonterminal node"):
+        d.validate_tree(expr_cnf, "a")
+    # E0 -> E E1 is a rule, but its children are names, not subtrees
+    with pytest.raises(d.GrammarError, match="leaf 'E' is not a terminal"):
+        d.validate_tree(expr_cnf, ("E0", ("E", "E1")))
 
 
 def test_deep_tree_needs_no_recursion():
@@ -365,6 +370,9 @@ MALFORMED_TREES = {
     "one-field child": ("S", (("A",), ("A", ("a",)))),
     "empty child": ("S", ((), ("A", ("a",)))),
     "int children": ("S", 5),
+    "list node": ["S", ("a",)],
+    "list children": ("S", ["a"]),
+    "list child": ("S", (["A", ("a",)], ("A", ("a",)))),
 }
 
 
@@ -435,6 +443,12 @@ def test_isomorphism_rejects_different_language(expr_cnf, expr_dyck_expected):
     g1 = d.parse_grammar("start: S\nS -> 'a'")
     g2 = d.parse_grammar("start: S\nS -> 'b'")
     assert d.find_isomorphism(g1, g2) is None
+    # same sizes, but one start body repeats a symbol and the other does not
+    g1 = d.parse_grammar("start: S\nS -> A B\nA -> 'a'\nB -> 'a'")
+    g2 = d.Grammar(["S", "A", "B"], ["a"], "S",
+                   [d.Rule("S", ("A", "A")), d.Rule("A", ("a",)),
+                    d.Rule("B", ("a",))])
+    assert d.find_isomorphism(g1, g2) is None
 
 
 def _chain(k, name):
@@ -475,6 +489,37 @@ def test_isomorphism_drops_partial_renamings_early():
     g2 = d.Grammar(sorted(names.values()), ["b"], "S", rename(g1.rules, names))
     iso = d.find_isomorphism(g1, g2)
     assert iso is not None and rename(g1.rules, iso) == set(g2.rules)
+
+
+def _cycles(*lengths, name="N"):
+    """Ni -> Nj Nj | 'a' along cycles of the given lengths, numbered on
+    from 0, under a start with S -> Ni Ni for every i."""
+    lines, at = ["start: S"], 0
+    for k in lengths:
+        for i in range(k):
+            nxt = at + (i + 1) % k
+            lines.append(f"{name}{at + i} -> {name}{nxt} {name}{nxt} | 'a'")
+        at += k
+    lines += [f"S -> {name}{i} {name}{i}" for i in range(at)]
+    return d.parse_grammar("\n".join(lines))
+
+
+def test_isomorphism_backtracks_where_colours_cannot_tell():
+    # every N has the same colour in a 6-cycle and in two 3-cycles, so only
+    # the search can tell them apart: it backtracks and runs out
+    six, threes = _cycles(6), _cycles(3, 3)
+    assert d.find_isomorphism(six, threes) is None
+    names = {"S": "S"} | {f"N{i}": f"M{(5 * i + 2) % 6}" for i in range(6)}
+
+    def rename(rules, mapping):
+        return [d.Rule(mapping[r.lhs], tuple(mapping.get(s, s) for s in r.rhs))
+                for r in rules]
+
+    renamed = d.Grammar(sorted(names.values()), ["a"], "S",
+                        rename(reversed(six.rules), names))
+    iso = d.find_isomorphism(six, renamed)
+    assert iso is not None
+    assert set(rename(six.rules, iso)) == set(renamed.rules)
 
 
 def test_isomorphism_leaves_no_reference_cycles(expr_dyck_expected):

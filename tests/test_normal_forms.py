@@ -188,6 +188,15 @@ def test_conversion_bytes_are_pinned():
     assert digest.hexdigest() == CONVERSION_DIGEST
 
 
+def test_stand_in_names_step_past_declared_ones():
+    g = d.parse_grammar("start: S\nS -> A A_t1\nA -> A A | 'a'\n"
+                        "A_t1 -> 'b'")
+    gd, ledger = d.to_dyck_nf(g)
+    assert str(ledger[0]) == "A_t2 <- A [terminal] step=1"
+    assert d.is_dyck_nf(gd)
+    assert d.enumerate_words(gd, 6) == d.enumerate_words(g, 6)
+
+
 def test_to_dyck_nf_rejects_non_cnf(expr):
     with pytest.raises(d.GrammarError):
         d.to_dyck_nf(expr)
@@ -233,6 +242,26 @@ def test_build_hd_refuses_a_cyclic_or_out_of_order_ledger(expr_cnf):
             d.build_hd(expr_cnf, ledger)
 
 
+def test_ledger_stand_ins_must_be_declared(expr_cnf, expr_converted):
+    # the CNF grammar in place of the converted one declares no stand-in
+    _, ledger = expr_converted
+    stray = "ledger stand-in E_t1 is not a nonterminal of the grammar"
+    with pytest.raises(d.GrammarError, match=stray):
+        d.build_hd(expr_cnf, ledger)
+    with pytest.raises(d.GrammarError, match=stray):
+        d.verify_equivalence_matrices(expr_cnf, expr_cnf, ledger, "a+a")
+
+
+def test_map_tree_refuses_a_stand_in_sent_to_the_wrong_original(
+        expr_cnf, expr_converted):
+    gd, ledger = expr_converted
+    wrong = dict(d.build_hd(gd, ledger), E1_R1="T")
+    tree = d.extract_tree(gd, "a+a")
+    with pytest.raises(d.GrammarError,
+                       match="ledger out of sync.*not a rule"):
+        d.map_tree(tree, wrong, expr_cnf)
+
+
 def test_map_tree_names_a_label_missing_from_hd(expr_cnf):
     tree = d.extract_tree(expr_cnf, "a+a")
     with pytest.raises(d.GrammarError, match="ledger out of sync"):
@@ -244,6 +273,15 @@ def test_equivalence_matrices_on_golden(expr_cnf, expr_converted):
     probes = d.enumerate_words(expr_cnf, 6) + ["aa", "+a", "a*", "a+*a"]
     for w in probes:
         assert d.verify_equivalence_matrices(expr_cnf, gd, ledger, w) == []
+
+
+def test_equivalence_matrices_name_an_unlisted_terminal_stand_in(
+        expr_cnf, expr_converted):
+    gd, ledger = expr_converted
+    unlisted = tuple(s for s in ledger if s.fresh != "E_t1")
+    (i, j, expected, actual), *_ = d.verify_equivalence_matrices(
+        expr_cnf, gd, unlisted, "a+a")
+    assert (i, j) == (1, 1) and set(actual) - set(expected) == {"E_t1"}
 
 
 def test_equivalence_matrices_leave_no_reference_cycles(expr_cnf,
