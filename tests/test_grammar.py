@@ -469,6 +469,11 @@ def test_isomorphism_on_long_chain_needs_no_recursion():
     assert iso == {f"N{i}": f"M{i}" for i in range(400)} | {"T": "T"}
 
 
+def _rename(rules, mapping):
+    return [d.Rule(mapping[r.lhs], tuple(mapping.get(s, s) for s in r.rhs))
+            for r in rules]
+
+
 def test_isomorphism_drops_partial_renamings_early():
     # colour refinement cannot tell the A's (or the B's) apart, and only
     # the renaming that keeps each A with its own B works
@@ -481,26 +486,22 @@ def test_isomorphism_drops_partial_renamings_early():
     for i in range(m):
         names[f"A{i}"] = f"X{(7 * i) % m}"
         names[f"B{i}"] = f"Y{(11 * i) % m}"
-
-    def rename(rules, mapping):
-        return {d.Rule(mapping[r.lhs], tuple(mapping.get(s, s) for s in r.rhs))
-                for r in rules}
-
-    g2 = d.Grammar(sorted(names.values()), ["b"], "S", rename(g1.rules, names))
+    g2 = d.Grammar(sorted(names.values()), ["b"], "S",
+                   _rename(g1.rules, names))
     iso = d.find_isomorphism(g1, g2)
-    assert iso is not None and rename(g1.rules, iso) == set(g2.rules)
+    assert iso is not None and set(_rename(g1.rules, iso)) == set(g2.rules)
 
 
-def _cycles(*lengths, name="N"):
+def _cycles(*lengths):
     """Ni -> Nj Nj | 'a' along cycles of the given lengths, numbered on
     from 0, under a start with S -> Ni Ni for every i."""
     lines, at = ["start: S"], 0
     for k in lengths:
         for i in range(k):
             nxt = at + (i + 1) % k
-            lines.append(f"{name}{at + i} -> {name}{nxt} {name}{nxt} | 'a'")
+            lines.append(f"N{at + i} -> N{nxt} N{nxt} | 'a'")
         at += k
-    lines += [f"S -> {name}{i} {name}{i}" for i in range(at)]
+    lines += [f"S -> N{i} N{i}" for i in range(at)]
     return d.parse_grammar("\n".join(lines))
 
 
@@ -511,15 +512,11 @@ def test_isomorphism_backtracks_where_colours_cannot_tell():
     assert d.find_isomorphism(six, threes) is None
     names = {"S": "S"} | {f"N{i}": f"M{(5 * i + 2) % 6}" for i in range(6)}
 
-    def rename(rules, mapping):
-        return [d.Rule(mapping[r.lhs], tuple(mapping.get(s, s) for s in r.rhs))
-                for r in rules]
-
     renamed = d.Grammar(sorted(names.values()), ["a"], "S",
-                        rename(reversed(six.rules), names))
+                        _rename(reversed(six.rules), names))
     iso = d.find_isomorphism(six, renamed)
     assert iso is not None
-    assert set(rename(six.rules, iso)) == set(renamed.rules)
+    assert set(_rename(six.rules, iso)) == set(renamed.rules)
 
 
 def test_isomorphism_leaves_no_reference_cycles(expr_dyck_expected):
