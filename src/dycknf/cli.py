@@ -28,7 +28,7 @@ from .dyck import (
 )
 from .elin import elin_to_dyck_nf, recognize_atm
 from .enumeration import enumerate_words
-from .grammar import GrammarError, ResourceLimitError, is_dyck_nf, parse_grammar, serialize
+from .grammar import ResourceLimitError, is_dyck_nf, parse_grammar, serialize
 from .normal_forms import ledger_text, to_cnf, to_dyck_nf, verify_equivalence_matrices
 from .phi import build_phi, extend_grammar, partition_nonterminals, verify_characterization
 from .corpus import random_words

@@ -26,6 +26,30 @@ def _canonical(g):
     return parse_grammar(serialize(g))
 
 
+def _draw(kind, seed, alphabet, nts_range, body, max_len, long_len):
+    """The shared rejection loop of the random grammar generators.
+
+    Attempt k draws from random.Random(f"{kind}:{seed}:{k}") a count of
+    nonterminals in nts_range, then one to three bodies per nonterminal from
+    body(rng, nts, alphabet), dropping repeats.  The draw is cleaned up and
+    kept once it has at least three words up to max_len, one of them at
+    least long_len letters long; it comes back in canonical form.
+    """
+    for attempt in range(200):
+        rng = random.Random(f"{kind}:{seed}:{attempt}")
+        nts = _NAMES[:rng.randint(*nts_range)]
+        rules = dict.fromkeys(Rule(nt, body(rng, nts, alphabet)) for nt in nts
+                              for _ in range(rng.randint(1, 3)))
+        try:
+            g = cleanup(Grammar(nts, list(alphabet), nts[0], list(rules)))
+            words = enumerate_words(g, max_len, cap=50_000)
+        except GrammarError:
+            continue
+        if len(words) >= 3 and any(len(w) >= long_len for w in words):
+            return _canonical(g)
+    raise RuntimeError(f"no usable {kind} grammar for seed {seed!r}")
+
+
 def random_cnf_grammar(seed, max_nts=6, alphabet="ab"):
     """A random Chomsky normal form grammar with a usable language.
 
@@ -33,32 +57,13 @@ def random_cnf_grammar(seed, max_nts=6, alphabet="ab"):
     back cleaned up, and rejection sampling guarantees at least three
     derivable words up to length 6 with at least one of length 2 or more.
     """
-    for attempt in range(200):
-        rng = random.Random(f"cnf:{seed}:{attempt}")
-        n_nts = rng.randint(3, max_nts)
-        nts = _NAMES[:n_nts]
-        others = nts[1:]
-        rules = []
-        seen = set()
-        for nt in nts:
-            n_rules = rng.randint(1, 3)
-            for _ in range(n_rules):
-                if rng.random() < 0.45:
-                    rhs = (rng.choice(alphabet),)
-                else:
-                    rhs = (rng.choice(others), rng.choice(others))
-                if (nt, rhs) not in seen:
-                    seen.add((nt, rhs))
-                    rules.append(Rule(nt, rhs))
-        g = Grammar(nts, list(alphabet), nts[0], rules)
-        try:
-            g = cleanup(g)
-            words = enumerate_words(g, 6, cap=50_000)
-        except GrammarError:
-            continue
-        if len(words) >= 3 and any(len(w) >= 2 for w in words):
-            return _canonical(g)
-    raise RuntimeError(f"no usable grammar for seed {seed!r}")
+    return _draw("cnf", seed, alphabet, (3, max_nts), _cnf_body, 6, 2)
+
+
+def _cnf_body(rng, nts, alphabet):
+    if rng.random() < 0.45:
+        return (rng.choice(alphabet),)
+    return (rng.choice(nts[1:]), rng.choice(nts[1:]))
 
 
 def corpus_grammars(count=20, seed=0):
@@ -82,34 +87,16 @@ def random_elin_grammar(seed, alphabet="ab"):
     only grammars with at least three words up to length 8, one of them
     at least four letters long.
     """
-    for attempt in range(200):
-        rng = random.Random(f"elin:{seed}:{attempt}")
-        n_nts = rng.randint(1, 3)
-        nts = _NAMES[:n_nts]
-        rules = []
-        seen = set()
-        for nt in nts:
-            for _ in range(rng.randint(1, 3)):
-                if rng.random() < 0.55:
-                    flank = rng.randint(1, 2)
-                    u = tuple(rng.choice(alphabet) for _ in range(flank))
-                    v = tuple(rng.choice(alphabet) for _ in range(flank))
-                    rhs = u + (rng.choice(nts),) + v
-                else:
-                    rhs = tuple(rng.choice(alphabet)
-                                for _ in range(rng.randint(1, 2)))
-                if (nt, rhs) not in seen:
-                    seen.add((nt, rhs))
-                    rules.append(Rule(nt, rhs))
-        g = Grammar(nts, list(alphabet), nts[0], rules)
-        try:
-            g = cleanup(g)
-            words = enumerate_words(g, 8, cap=50_000)
-        except GrammarError:
-            continue
-        if len(words) >= 3 and any(len(w) >= 4 for w in words):
-            return _canonical(g)
-    raise RuntimeError(f"no usable even linear grammar for seed {seed!r}")
+    return _draw("elin", seed, alphabet, (1, 3), _elin_body, 8, 4)
+
+
+def _elin_body(rng, nts, alphabet):
+    if rng.random() < 0.55:
+        flank = rng.randint(1, 2)
+        u = tuple(rng.choice(alphabet) for _ in range(flank))
+        v = tuple(rng.choice(alphabet) for _ in range(flank))
+        return u + (rng.choice(nts),) + v
+    return tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 2)))
 
 
 def elin_corpus(count=5, seed=0):

@@ -9,14 +9,16 @@ package is always cross-checked against this oracle rather than against
 itself, so it shares no code with the parse table.
 
 Only the first sweep of a length runs every rule.  A later sweep re-runs
-the rules that a symbol changed by the sweep before it can reach.  Once
-length 0 is saturated, the nullable symbols (those deriving the empty word)
-are final, and a word of length n >= 1 that uses a length-n word of B needs
-every other body symbol to derive the empty word; so B reaches a rule only
-when B is in its body and every other body symbol is nullable.  A
-lambda-free grammar (every CNF and Dyck normal form grammar) therefore
-re-runs only its unit rules, and without unit rules needs one sweep per
-length.
+the rules that a symbol changed by the sweep before it can reach.  At
+length 0 every nonterminal counts as nullable, so a changed symbol reaches
+each rule whose body holds no terminal (a body with a terminal never
+derives the empty word).  Once length 0 is saturated, the nullable symbols
+(those deriving the empty word) are final, and a word of length n >= 1
+that uses a length-n word of B needs every other body symbol to derive the
+empty word; so B reaches a rule only when B is in its body and every other
+body symbol is nullable.  A lambda-free grammar (every CNF and Dyck normal
+form grammar) therefore re-runs only its unit rules, and without unit
+rules needs one sweep per length.
 """
 
 from __future__ import annotations
@@ -44,26 +46,31 @@ def enumerate_words(g, max_len, cap=DEFAULT_WORD_CAP):
 def derivable_words(g, max_len, cap=DEFAULT_WORD_CAP):
     """table[A][n] = set of length-n terminal words derivable from A.
 
+    Each terminal t also gets a row, exactly max_len + 1 long, holding its
+    one word t at length 1, so rule bodies compose all symbols alike.
     Lengths are filled in ascending order, so when length n is being
     saturated everything shorter is already final.  Within one length the
     first sweep runs every rule; each later sweep runs, in rule order, only
     the rules that the last sweep's changed heads reach.  At length 0 a
-    changed symbol reaches every rule with it in the body.  The nullable
-    set is final after length 0, and a rule gains a length-n word from a
-    length-n word of one body symbol only when every other body symbol
-    contributes the empty word; so from length 1 on a symbol reaches only
-    the rules in whose body every other symbol is nullable.
+    changed symbol reaches every rule whose body is all nonterminals.  The
+    nullable set is final after length 0, and a rule gains a length-n word
+    from a length-n word of one body symbol only when every other body
+    symbol contributes the empty word; so from length 1 on a symbol reaches
+    only the rules in whose body every other symbol is nullable.
     """
     table = {nt: [set() for _ in range(max_len + 1)] for nt in g.nonterminals}
+    for t in g.terminals:
+        table[t] = [{t} if n == 1 else set() for n in range(max_len + 1)]
     rules = g.rules
     stored = 0
+    reach = _reach(g, set(g.nonterminals))
     for n in range(0, max_len + 1):
         todo = range(len(rules))
         while todo:
             changed = set()
             for i in todo:
                 lhs, rhs = rules[i]
-                new = _compose(g, table, rhs, n) - table[lhs][n]
+                new = _compose(table, rhs, n) - table[lhs][n]
                 if new:
                     table[lhs][n] |= new
                     stored += len(new)
@@ -72,13 +79,9 @@ def derivable_words(g, max_len, cap=DEFAULT_WORD_CAP):
                             f"enumeration exceeded {cap} stored words "
                             f"(grammar {g!r}, max_len {max_len})")
                     changed.add(lhs)
-            if n == 0:
-                todo = [i for i, (_, rhs) in enumerate(rules)
-                        if not changed.isdisjoint(rhs)]
-            else:
-                todo = sorted({i for s in changed for i in reach.get(s, ())})
+            todo = sorted({i for s in changed for i in reach.get(s, ())})
         if n == 0:
-            reach = _reach(g, {nt for nt, cells in table.items() if cells[0]})
+            reach = _reach(g, {nt for nt in g.nonterminals if table[nt][0]})
     return table
 
 
@@ -101,7 +104,7 @@ def _reach(g, nullable):
     return reach
 
 
-def _compose(g, table, rhs, n):
+def _compose(table, rhs, n):
     """Words of length n formed by concatenating one word per rhs symbol.
 
     Every symbol but the last extends the prefixes to each length that still
@@ -111,25 +114,17 @@ def _compose(g, table, rhs, n):
         return {""} if n == 0 else set()
     parts = {0: {""}}  # prefix length -> prefixes
     for sym in rhs[:-1]:
+        cells = table[sym]
         nxt = {}
-        if g.is_terminal(sym):
-            for have, words in parts.items():
-                if have < n:
-                    nxt[have + 1] = {a + sym for a in words}
-        else:
-            cells = table[sym]
-            for have, words in parts.items():
-                for m in range(n - have + 1):
-                    if cells[m]:
-                        nxt.setdefault(have + m, set()).update(
-                            [a + b for a in words for b in cells[m]])
+        for have, words in parts.items():
+            for m in range(n - have + 1):
+                if cells[m]:
+                    nxt.setdefault(have + m, set()).update(
+                        [a + b for a in words for b in cells[m]])
         if not nxt:
             return set()
         parts = nxt
-    sym = rhs[-1]
-    if g.is_terminal(sym):
-        return {a + sym for a in parts.get(n - 1, ())}
-    cells = table[sym]
+    cells = table[rhs[-1]]
     out = set()
     for have, words in parts.items():
         if cells[n - have]:

@@ -597,8 +597,11 @@ def find_isomorphism(g1, g2):
     The renaming must map start to start, fix all terminals, and carry the
     rule set of g1 exactly onto the rule set of g2.  Rule order and symbol
     declaration order are ignored.  Color refinement prunes the search, and
-    the backtracking (over an explicit stack) drops a partial renaming as
-    soon as it sends some fully renamed rule outside g2.
+    the backtracking (over an explicit stack) checks each rule of g1 once,
+    at the step that maps the last of its nonterminals in search order; a
+    partial renaming is dropped as soon as it sends a rule outside g2.
+    Once every rule has landed in g2 the two rule sets are equal, since
+    the sizes match, the renaming is injective and the rules are distinct.
     """
     _check(g1)
     _check(g2)
@@ -614,7 +617,11 @@ def find_isomorphism(g1, g2):
     for nt in g2.nonterminals:
         by_color.setdefault(c2[nt], []).append(nt)
     order = sorted(g1.nonterminals, key=lambda nt: len(by_color[c1[nt]]))
-    touching = _rules_touching(g1)
+    rank = {nt: k for k, nt in enumerate(order)}
+    # due[k]: the rules whose last nonterminal in search order is order[k]
+    due = [[] for _ in order]
+    for r in g1.rules:
+        due[max(rank.get(s, -1) for s in (r.lhs,) + r.rhs)].append(r)
     rules2 = set(g2.rules)
     mapping = {}
     used = set()
@@ -622,23 +629,25 @@ def find_isomorphism(g1, g2):
     # while the search sits deeper than k
     stack = [iter(by_color[c1[order[0]]])]
     while stack:
-        a = order[len(stack) - 1]
+        k = len(stack) - 1
+        a = order[k]
         if a in mapping:
             used.discard(mapping.pop(a))
         for b in stack[-1]:
             if b not in used:
                 mapping[a] = b
-                if _renames_into(g1, touching[a], mapping, rules2):
+                if all(Rule(mapping[r.lhs], tuple(mapping.get(s, s)
+                                                  for s in r.rhs)) in rules2
+                       for r in due[k]):
                     used.add(b)
                     break
                 del mapping[a]
         else:
             stack.pop()
             continue
-        if len(stack) < len(order):
-            stack.append(iter(by_color[c1[order[len(stack)]]]))
-        elif {_rename(r, mapping) for r in g1.rules} == rules2:
+        if k + 1 == len(order):
             return mapping
+        stack.append(iter(by_color[c1[order[k + 1]]]))
     return None
 
 
@@ -647,20 +656,13 @@ def _refine_colors(g1, g2):
 
     A nonterminal's next color stands for its color, the colors of its own
     bodies, and the (head color, position, body colors) of each place it
-    occurs in; terminals keep fixed negative colors.  Every round numbers
-    the new colors 0, 1, ... from one table shared by the two grammars, so
+    occurs in; terminals keep fixed negative colors.  Each round builds
+    these signatures in one pass over the rules.  Every round numbers the
+    new colors 0, 1, ... from one table shared by the two grammars, so
     equal colors mean equal histories across them.  Rounds stop when no
     class splits.
     """
     grammars = (g1, g2)
-    places = []
-    for g in grammars:
-        at = {nt: [] for nt in g.nonterminals}
-        for r in g.rules:
-            for k, s in enumerate(r.rhs):
-                if s in at:
-                    at[s].append((k, r))
-        places.append(at)
     fixed = {t: -1 - k for k, t in enumerate(sorted(g1.terminals))}
     colors = [{**fixed, **{nt: int(nt == g.start) for nt in g.nonterminals}}
               for g in grammars]
@@ -669,42 +671,21 @@ def _refine_colors(g1, g2):
     while True:
         table = {}
         new = []
-        for g, color, at in zip(grammars, colors, places):
-            heads = g._heads
+        for g, color in zip(grammars, colors):
+            own = {nt: [] for nt in g.nonterminals}
+            seen = {nt: [] for nt in g.nonterminals}
+            for r in g.rules:
+                body = tuple(color[s] for s in r.rhs)
+                own[r.lhs].append(body)
+                for k, s in enumerate(r.rhs):
+                    if s in seen:
+                        seen[s].append((color[r.lhs], k) + body)
             nxt = dict(fixed)
             for nt in g.nonterminals:
-                own = sorted(tuple(color[s] for s in r.rhs)
-                             for r in heads.get(nt, ()))
-                seen = sorted((color[r.lhs], k) + tuple(color[s]
-                                                        for s in r.rhs)
-                              for k, r in at[nt])
                 nxt[nt] = table.setdefault(
-                    (color[nt], tuple(own), tuple(seen)), len(table))
+                    (color[nt], tuple(sorted(own[nt])),
+                     tuple(sorted(seen[nt]))), len(table))
             new.append(nxt)
         if len(table) == count:
             return colors
         colors, count = new, len(table)
-
-
-def _rules_touching(g):
-    """nonterminal -> the set of rules it heads or occurs in."""
-    touching = {nt: set() for nt in g.nonterminals}
-    for r in g.rules:
-        for s in (r.lhs,) + r.rhs:
-            if s in touching:
-                touching[s].add(r)
-    return touching
-
-
-def _rename(rule, mapping):
-    return Rule(mapping[rule.lhs], tuple(mapping.get(s, s) for s in rule.rhs))
-
-
-def _renames_into(g, rules, mapping, target):
-    """Does each of rules whose nonterminals are all renamed land in target?"""
-    for r in rules:
-        if all(s in mapping for s in (r.lhs,) + r.rhs
-               if g.is_nonterminal(s)) and (
-                _rename(r, mapping) not in target):
-            return False
-    return True

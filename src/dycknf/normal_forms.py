@@ -360,6 +360,8 @@ def _make_pairing(st):
     canon_left = {}
     canon_right = {}
     conflicts = 0
+    # fixed before the pass, since every conflict grows the soup
+    limit = 4 * len(st.nts) * max(len(st.rules), 1) + 16
     i = 0
     while i < len(st.rules):
         body = st.rules[i].rhs
@@ -377,8 +379,9 @@ def _make_pairing(st):
             i += 1
             continue
         conflicts += 1
-        if conflicts > 4 * len(st.nts) * max(len(st.rules), 1) + 16:
-            raise AssertionError("pairing pass did not stabilize")
+        if conflicts > limit:
+            raise AssertionError(f"pairing pass did not stabilize: "
+                                 f"{conflicts} conflicts, limit {limit}")
         st.stand_in(body, side, 3)
 
 

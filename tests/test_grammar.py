@@ -6,6 +6,7 @@ from __future__ import annotations
 import gc
 import inspect
 import pickle
+import random
 import sys
 
 import pytest
@@ -506,10 +507,13 @@ def _cycles(*lengths):
 
 
 def test_isomorphism_backtracks_where_colours_cannot_tell():
-    # every N has the same colour in a 6-cycle and in two 3-cycles, so only
-    # the search can tell them apart: it backtracks and runs out
+    # every N has the same colour in a 6-cycle, in two 3-cycles and in a
+    # 5-cycle next to a loop, so only the search can tell them apart: it
+    # backtracks and runs out.  Against the loop, the rules of N0 .. N4
+    # all land and only the last step, N5's, can refuse.
     six, threes = _cycles(6), _cycles(3, 3)
     assert d.find_isomorphism(six, threes) is None
+    assert d.find_isomorphism(six, _cycles(5, 1)) is None
     names = {"S": "S"} | {f"N{i}": f"M{(5 * i + 2) % 6}" for i in range(6)}
 
     renamed = d.Grammar(sorted(names.values()), ["a"], "S",
@@ -517,6 +521,38 @@ def test_isomorphism_backtracks_where_colours_cannot_tell():
     iso = d.find_isomorphism(six, renamed)
     assert iso is not None
     assert set(_rename(six.rules, iso)) == set(renamed.rules)
+
+
+def _shuffled_copy(g, seed):
+    """g under fresh names, with its rules and declarations shuffled."""
+    rng = random.Random(seed)
+    names = {nt: f"Q{k}" for k, nt in enumerate(g.nonterminals)}
+    rules = _rename(g.rules, names)
+    declared = list(names.values())
+    rng.shuffle(rules)
+    rng.shuffle(declared)
+    return d.Grammar(declared, g.terminals, names[g.start], rules)
+
+
+def _redirected(g):
+    """g with the right child of its first binary rule redirected to the
+    first nonterminal that keeps the rules distinct."""
+    i, r = next((i, r) for i, r in enumerate(g.rules) if len(r.rhs) == 2)
+    new = next(rule for rule in (d.Rule(r.lhs, (r.rhs[0], x))
+                                 for x in g.nonterminals)
+               if rule not in g.rules)
+    return d.Grammar(g.nonterminals, g.terminals, g.start,
+                     g.rules[:i] + [new] + g.rules[i + 1:])
+
+
+def test_isomorphism_maps_corpus_copies_onto_their_rules(dyck_corpus):
+    for k, (g_cnf, gd, _) in enumerate(dyck_corpus):
+        for g in (g_cnf, gd):
+            copy = _shuffled_copy(g, k)
+            iso = d.find_isomorphism(g, copy)
+            assert iso is not None, k
+            assert set(_rename(g.rules, iso)) == set(copy.rules), k
+            assert d.find_isomorphism(g, _redirected(copy)) is None, k
 
 
 def test_isomorphism_leaves_no_reference_cycles(expr_dyck_expected):

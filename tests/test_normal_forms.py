@@ -7,11 +7,13 @@ from __future__ import annotations
 import gc
 import hashlib
 import inspect
+import re
 import sys
 
 import pytest
 
 import dycknf as d
+import dycknf.normal_forms as nf
 from dycknf.corpus import (elin_corpus, random_cnf_grammar,
                            random_elin_grammar)
 
@@ -195,6 +197,24 @@ def test_stand_in_names_step_past_declared_ones():
     assert str(ledger[0]) == "A_t2 <- A [terminal] step=1"
     assert d.is_dyck_nf(gd)
     assert d.enumerate_words(gd, 6) == d.enumerate_words(g, 6)
+
+
+def test_pairing_guard_stops_a_runaway_pass(monkeypatch, expr_cnf):
+    # a stand-in on the wrong side leaves the conflict in place, so the
+    # pass would mint stand-ins forever; its limit is fixed at the start
+    stand_in = nf._Conversion.stand_in
+
+    def wrong_side(st, body, side, step):
+        if step == 3:
+            side = "L" if side == "R" else "R"
+        stand_in(st, body, side, step)
+
+    monkeypatch.setattr(nf._Conversion, "stand_in", wrong_side)
+    with pytest.raises(AssertionError, match=r"pairing pass did not "
+                       r"stabilize: \d+ conflicts, limit \d+$") as stopped:
+        d.to_dyck_nf(expr_cnf)
+    conflicts, limit = map(int, re.findall(r"\d+", str(stopped.value)))
+    assert conflicts == limit + 1
 
 
 def test_to_dyck_nf_rejects_non_cnf(expr):
