@@ -14,9 +14,9 @@ set of nonterminal names but decodes a cell only when that cell is read.
 member and the tree walks test bits of the masks themselves, so they decode
 nothing.
 
-extract_tree, all_trees and count_trees read a word's one parse forest
-through one bottom-up evaluation (_evaluate) over an explicit stack, so
-long words and deep trees never meet the recursion limit.
+extract_tree, count_trees, and through _every_parse all_trees and the dyck
+module's trace sets, read a word's one parse forest by one bottom-up walk
+(_evaluate) on an explicit stack, so no deep tree meets the recursion limit.
 
 extract_tree is deterministic on purpose: ambiguous words always yield the
 same canonical tree (smallest split point, then first applicable rule in
@@ -170,6 +170,13 @@ def all_trees(g, w, cap=DEFAULT_TREE_CAP):
     tuples), with a cap on the total number of stored subtrees so that a
     pathologically ambiguous grammar fails loudly instead of hanging.
     """
+    return _every_parse(g, w, cap, lambda a, i: (a, (w[i - 1],)),
+                        lambda a, left, right: (a, (left, right)))
+
+
+def _every_parse(g, w, cap, leaf, join):
+    """One value per parse tree of w: a one-letter node is worth leaf(a, i),
+    a longer one join(a, left, right); stored values count against cap."""
     table = _parse_table(g, w)
     if table is None:
         return []
@@ -184,8 +191,8 @@ def all_trees(g, w, cap=DEFAULT_TREE_CAP):
         return found
 
     return _evaluate(
-        g, w, table, lambda a, i: keep([(a, (w[i - 1],))]),
-        lambda a, i, j, pairs: keep([(a, (left, right))
+        g, w, table, lambda a, i: keep([leaf(a, i)]),
+        lambda a, i, j, pairs: keep([join(a, left, right)
                                      for lefts, rights in pairs
                                      for left in lefts for right in rights]))
 

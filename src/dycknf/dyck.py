@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 
-from .cyk import DEFAULT_TREE_CAP, all_trees
+from .cyk import DEFAULT_TREE_CAP, _every_parse
 from .enumeration import DEFAULT_WORD_CAP, enumerate_words
 from .grammar import GrammarError, leftmost_derivation, validate_tree
 
@@ -222,17 +222,20 @@ def trace_as_brackets(g, trace):
 def trace_language(g, max_word_len):
     """Traces of every parse tree of every derivable word up to a length.
 
-    One enumeration of the language; one-letter words have no trace and
-    contribute nothing here (the phi module's extension covers them).  The
-    enumeration stores at most DEFAULT_WORD_CAP words, and each word at most
-    DEFAULT_TREE_CAP parse subtrees, else ResourceLimitError.
+    One enumeration; each word's traces come off its parse forest, with
+    trace_word over all_trees as the tests' oracle.  One-letter words have
+    none (phi's extension covers them).  Caps: DEFAULT_WORD_CAP stored
+    words, DEFAULT_TREE_CAP parse subtrees per word, else ResourceLimitError.
     """
     return _traces_of(g, enumerate_words(g, max_word_len,
                                          cap=DEFAULT_WORD_CAP))
 
 
 def _traces_of(g, words):
-    """The set of traces of every parse tree of every word in `words`,
-    each word's trees capped at DEFAULT_TREE_CAP stored subtrees."""
-    return {trace_word(g, t) for w in words if len(w) > 1
-            for t in all_trees(g, w, cap=DEFAULT_TREE_CAP)}
+    """The set of traces of every parse tree of every word in `words`, read
+    off each forest with no tree built: a one-letter node is worth (a,), a
+    longer one (a,) + left + right, the preorder of one parse tree of g.
+    At most DEFAULT_TREE_CAP values per word; trace_word is the oracle."""
+    leaf, join = (lambda a, i: (a,)), (lambda a, u, v: (a,) + u + v)
+    return {labels[1:] for w in words if len(w) > 1
+            for labels in _every_parse(g, w, DEFAULT_TREE_CAP, leaf, join)}

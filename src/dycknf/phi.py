@@ -175,9 +175,9 @@ def verify_characterization(g, max_len):
     trace, every one-letter word the image of its extension pair, no trace
     may map outside the language, and every trace (as a bracket word over
     the extended pairing) must pass the one-sided Dyck membership check.
-    One enumeration of the language, capped at DEFAULT_WORD_CAP stored
-    words, yields both the words and the traces, which are capped like
-    trace_language's.  Raises ValueError for max_len below 1.
+    The words come from one enumeration capped at DEFAULT_WORD_CAP, the
+    traces off their parse forests (trace_word is the tests' oracle) with
+    trace_language's cap.  Raises ValueError for max_len below 1.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be at least 1, got {max_len}")

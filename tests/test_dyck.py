@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import dycknf as d
 from dycknf.corpus import random_bracket_words
+from dycknf.dyck import _traces_of
 
 
 def brackets(s):
@@ -132,6 +133,16 @@ def test_trace_routes_agree_on_corpus(dyck_corpus):
             for tree in d.all_trees(gd, w):
                 assert (d.trace_word(gd, tree)
                         == d.trace_from_rewriting(gd, tree))
+
+
+def test_forest_traces_match_the_tree_walk(dyck_corpus, elin_converted):
+    # the trace sets come straight off each word's parse forest; trace_word
+    # over every tree all_trees builds is the route they must agree with
+    for _, gd, _ in dyck_corpus + elin_converted:
+        for w in d.enumerate_words(gd, 6):
+            expected = (set() if len(w) < 2 else
+                        {d.trace_word(gd, t) for t in d.all_trees(gd, w)})
+            assert _traces_of(gd, [w]) == expected, (gd, w)
 
 
 def test_trace_language_members_are_dyck(expr_converted):

@@ -181,6 +181,26 @@ def test_trace_path_caps_bite(expr_converted, monkeypatch, module, cap,
             check(gd, 5)
 
 
+def test_trace_route_caps_where_all_trees_does(expr_converted, monkeypatch):
+    ambiguous, _ = d.to_dyck_nf(d.parse_grammar(
+        "start: S0\nS0 -> S S | 'a'\nS -> S S | 'a'"))
+    # a*a+a*a has one parse tree, aaaaa has 14
+    for gd, word in [(expr_converted[0], "a*a+a*a"), (ambiguous, "aaaaa")]:
+        cap = 1  # the least cap all_trees passes at
+        while True:
+            try:
+                trees = d.all_trees(gd, word, cap=cap)
+                break
+            except d.ResourceLimitError:
+                cap += 1
+        monkeypatch.setattr(dycknf.dyck, "DEFAULT_TREE_CAP", cap - 1)
+        with pytest.raises(d.ResourceLimitError, match="parse subtrees"):
+            dycknf.dyck._traces_of(gd, [word])
+        monkeypatch.setattr(dycknf.dyck, "DEFAULT_TREE_CAP", cap)
+        assert dycknf.dyck._traces_of(gd, [word]) == {
+            d.trace_word(gd, t) for t in trees}
+
+
 # sha256 of the reports and trace sets below; any change to a report field,
 # a list order or a trace changes it
 CHARACTERIZATION_DIGEST = ("18c68d0c734b82c67c8805fa61f1c68a"
@@ -200,11 +220,12 @@ def test_characterization_output_is_pinned(dyck_corpus, elin_converted):
 
 def test_characterization_reports_planted_faults(expr_converted, monkeypatch):
     gd, _ = expr_converted
-    all_trees, build_phi, in_dk_stack = (
-        dycknf.dyck.all_trees, dycknf.phi.build_phi, dycknf.phi.in_dk_stack)
+    every_parse, build_phi, in_dk_stack = (
+        dycknf.dyck._every_parse, dycknf.phi.build_phi,
+        dycknf.phi.in_dk_stack)
 
-    def drop_one_word(g, w, **kw):
-        return [] if w == "a*a+a" else all_trees(g, w, **kw)
+    def drop_one_word(g, w, *args):
+        return [] if w == "a*a+a" else every_parse(g, w, *args)
 
     def foreign_letter(ext):
         phi = build_phi(ext)
@@ -214,7 +235,7 @@ def test_characterization_reports_planted_faults(expr_converted, monkeypatch):
     def reject_extension(word, k=None):
         return word != (8, -8) and in_dk_stack(word, k)
 
-    monkeypatch.setattr(dycknf.dyck, "all_trees", drop_one_word)
+    monkeypatch.setattr(dycknf.dyck, "_every_parse", drop_one_word)
     monkeypatch.setattr(dycknf.phi, "build_phi", foreign_letter)
     monkeypatch.setattr(dycknf.phi, "in_dk_stack", reject_extension)
     report = d.verify_characterization(gd, 5)

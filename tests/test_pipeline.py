@@ -1,5 +1,6 @@
 """The whole pipeline on random general grammars: text round trip, to_cnf,
-to_dyck_nf, trees mapped back, CYK tables cell by cell and the
+to_dyck_nf, trees mapped back, CYK tables cell by cell, the trace sets read
+off the parse forest against trace_word over every tree, and the
 phi-characterization, all against the enumeration oracle."""
 
 from __future__ import annotations
@@ -7,6 +8,7 @@ from __future__ import annotations
 import random
 
 import dycknf as d
+from dycknf.dyck import _traces_of
 
 
 def random_general_grammar(seed):
@@ -51,5 +53,9 @@ def test_pipeline_keeps_the_language_of_random_general_grammars():
         for w in words[:3] + ["ab", "ba", "aab"]:
             assert d.verify_equivalence_matrices(gc, gd, ledger, w) == [], (
                 seed, w)
+        for w in words:
+            if 1 < len(w) <= 5:
+                assert _traces_of(gd, [w]) == {
+                    d.trace_word(gd, t) for t in d.all_trees(gd, w)}, (seed, w)
         assert d.verify_characterization(gd, 5).ok, seed
     assert converted >= 100
