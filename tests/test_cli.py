@@ -71,6 +71,22 @@ def test_trace_verb_takes_a_dyck_grammar_as_it_is(capsys):
     code, out, _ = run(capsys, "trace", f"{DATA}/expr_dyck.cfg", "a+a")
     assert code == 0
     assert out == "trace:   E3 E5 E4 T4\nas Dyck: [3 ]3 [6 ]6\n"
+    code, out, _ = run(capsys, "phi", f"{DATA}/expr_dyck.cfg")
+    assert code == 0
+    assert out == (
+        "pair  1: [T     ]T1     no_terminal    phi: eps / eps\n"
+        "pair  2: [E     ]E1     no_terminal    phi: eps / eps\n"
+        "pair  3: [E3    ]E5     left_terminal  phi: a / eps\n"
+        "pair  4: [T3    ]T5     left_terminal  phi: a / eps\n"
+        "pair  5: [E2    ]Tp     left_terminal  phi: + / eps\n"
+        "pair  6: [E4    ]T4     both_terminal  phi: + / a\n"
+        "pair  7: [T2    ]R      both_terminal  phi: * / a\n"
+        "pair  8: [Lift1 ]Drop1  extension      phi: a / eps\n")
+    code, out, _ = run(capsys, "verify-phi", f"{DATA}/expr_dyck.cfg")
+    assert code == 0
+    assert out == ("phi-characterization up to length 7: ok\n"
+                   "  words checked: 15   traces: 15   pairs: 7 base + 1 "
+                   "extension\n")
 
 
 def test_trace_verb_negatives(capsys):

@@ -3,6 +3,7 @@ divide-and-conquer recognizer held against the parse table."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import pytest
@@ -203,6 +204,34 @@ def test_recognizer_on_canonical_family():
               "a" * 9 + "b" * 10, "c" * 19]:
         ok, _ = d.recognize_atm(out, w)
         assert not ok, w
+
+
+# sha256 of verdict and trace per word on the corpus below; any change to a
+# verdict, a route, a node count, a depth or a work-tape figure changes it
+RECOGNIZER_DIGEST = ("e4d9e83286a6ee102522942fd37e21ee"
+                     "be78681ac703a3234fdc4b7e06976f49")
+
+
+def test_recognizer_output_is_pinned(elin_converted):
+    digest = hashlib.sha256()
+    counts = {"words": 0, "refused": 0, "accepted": 0}
+    for i, (g, gd, _) in enumerate(elin_converted):
+        sigma = sorted(g.terminals)
+        members = random_elin_members(g, 15, 41, seed=7)
+        words = set(members)
+        words.update(mutate_words(members, sigma, 20, seed=7))
+        words.update(random_words(sigma, 25, 60, seed=7))
+        if len(sigma) <= 2:
+            words.update("".join(t) for n in range(1, 10)
+                         for t in itertools.product(sigma, repeat=n))
+        for w in sorted(words, key=lambda w: (len(w), w)):
+            ok, trace = d.recognize_atm(gd, w)
+            digest.update(repr((i, w, ok, trace)).encode())
+            counts["words"] += 1
+            if trace.route == "divide":
+                counts["accepted" if ok else "refused"] += 1
+    assert counts == {"words": 3351, "refused": 1745, "accepted": 41}
+    assert digest.hexdigest() == RECOGNIZER_DIGEST
 
 
 def test_recognizer_agrees_exhaustively():
