@@ -28,7 +28,7 @@ from .dyck import (
 )
 from .elin import elin_to_dyck_nf, recognize_atm
 from .enumeration import enumerate_words
-from .grammar import ResourceLimitError, is_dyck_nf, parse_grammar, serialize
+from .grammar import ResourceLimitError, parse_grammar, serialize
 from .normal_forms import ledger_text, to_cnf, to_dyck_nf, verify_equivalence_matrices
 from .phi import build_phi, extend_grammar, partition_nonterminals, verify_characterization
 from .corpus import random_words
@@ -40,11 +40,9 @@ def _load(path):
 
 
 def _dyckified(g):
-    """The grammar itself if already in Dyck normal form, else converted."""
-    if is_dyck_nf(g):
-        return g
-    out, _ = to_dyck_nf(to_cnf(g))
-    return out
+    """g in Dyck normal form; on a grammar already in it, g unchanged, since
+    to_cnf and to_dyck_nf then have nothing to do."""
+    return to_dyck_nf(to_cnf(g))[0]
 
 
 # ---- verbs ----

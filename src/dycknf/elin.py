@@ -220,10 +220,11 @@ class AlternationTrace:
 
 
 class _Search:
-    """Shared state for one divide-and-conquer membership run.  pairs is
-    partition_nonterminals(g); partner sends each left bracket to its right
-    one, by pairing_of; phi is the letter map that g caches and build_phi
-    copies, so it is read, never written."""
+    """Shared state for one divide-and-conquer membership run: the duties
+    between adjacent ladder positions and decide, the one guess loop over
+    them.  pairs is partition_nonterminals(g); partner sends each left
+    bracket to its right one, by pairing_of; phi is the letter map that g
+    caches and build_phi copies, so it is read, never written."""
 
     def __init__(self, g, w, d, pairs):
         self.w = w
@@ -265,71 +266,58 @@ class _Search:
         return False
 
     def center(self, jp):
-        w, n, p = self.w, self.n, self.p
+        """Duty p: jp carries w[p-1], and a bottom step under its right
+        bracket carries w[p] and w[p+1].  For an even n the bottom steps
+        are those under a body whose right child carries w[p+2]."""
+        w, p = self.w, self.p
         if self.phi[jp] != w[p - 1]:
             return False
         bodies = self.rules_bin.get(self.partner[jp], ())
-        if n % 2:
-            # one middle letter sits right under the last ladder step
-            return any(self.phi[cl] == w[p] and self.phi[cr] == w[p + 1]
-                       for cl, cr in bodies)
-        # two middle letters need one more step whose close carries w[p+2]
-        for il, ir in bodies:
-            if self.phi[ir] != w[p + 2]:
-                continue
-            if any(self.phi[cl] == w[p] and self.phi[cr] == w[p + 1]
-                   for cl, cr in self.rules_bin.get(il, ())):
-                return True
-        return False
+        if self.n % 2 == 0:
+            bodies = (body for il, ir in bodies if self.phi[ir] == w[p + 2]
+                      for body in self.rules_bin.get(il, ()))
+        return any(self.phi[cl] == w[p] and self.phi[cr] == w[p + 1]
+                   for cl, cr in bodies)
 
     def decide(self, a, b, left, right, depth):
-        """Can positions a..b be filled so duties a-1 .. b all hold?"""
+        """Can positions a..b be filled so duties a-1 .. b all hold?
+
+        One guess loop serves every block of m positions.  It guesses a
+        prefix of r = m mod d positions and, when m >= d, d - 1 cut points
+        that split the rest into d blocks of q = m // d, each decided
+        recursively.  A block below d positions is all prefix (r = m, no
+        cut), so it checks its closing duty b itself.
+        """
         if depth > self.max_depth:
             self.max_depth = depth
         key = (a, b, left, right)
         if key in self.memo:
             return self.memo[key]
         self.nodes += 1
-        if b - a + 1 < self.d:
-            ok = self._brute(a, b, left, right, depth)
-        else:
-            ok = self._split(a, b, left, right, depth)
-        self.memo[key] = ok
-        return ok
-
-    def _brute(self, a, b, left, right, depth):
-        m = b - a + 1
-        self.max_held = max(self.max_held, 4 + m)
-        if m and depth + 1 > self.max_depth:
-            self.max_depth = depth + 1
-        for combo in itertools.product(self.cands, repeat=m):
-            names = (left,) + combo + (right,)
-            if all(self.duty(a - 1 + t, names[t], names[t + 1])
-                   for t in range(m + 1)):
-                return True
-        return False
-
-    def _split(self, a, b, left, right, depth):
         m = b - a + 1
         q, r = divmod(m, self.d)
-        cuts = [a + r + i * q - 1 for i in range(1, self.d)]
+        cuts = [a + r + i * q - 1 for i in range(1, self.d)] if q else []
+        starts = [a + r] + [c + 1 for c in cuts]
+        ends = [c - 1 for c in cuts] + [b]
         self.max_held = max(self.max_held, 4 + r + len(cuts))
-        if depth + 1 > self.max_depth:
+        if m and depth + 1 > self.max_depth:
             self.max_depth = depth + 1
+        ok = False
         for combo in itertools.product(self.cands, repeat=r + len(cuts)):
-            prefix, cutjs = combo[:r], combo[r:]
-            names = (left,) + prefix
+            names, cutjs = (left,) + combo[:r], combo[r:]
             if not all(self.duty(a - 1 + t, names[t], names[t + 1])
                        for t in range(r)):
                 continue
-            starts = [a + r] + [c + 1 for c in cuts]
-            ends = [c - 1 for c in cuts] + [b]
-            lefts = [prefix[-1] if r else left] + list(cutjs)
-            rights = list(cutjs) + [right]
-            if all(self.decide(aa, bb, ll, rr, depth + 2)
-                   for aa, bb, ll, rr in zip(starts, ends, lefts, rights)):
-                return True
-        return False
+            if cuts:
+                blocks = zip(starts, ends, names[-1:] + cutjs,
+                             cutjs + (right,))
+                ok = all(self.decide(*block, depth + 2) for block in blocks)
+            else:
+                ok = self.duty(b, names[-1], right)
+            if ok:
+                break
+        self.memo[key] = ok
+        return ok
 
 
 def _ladder_violations(g, pairs):
@@ -365,7 +353,7 @@ def recognize_atm(g, w):
             "recognizer needs a terminal side on every bracket pair "
             "(run elin_to_dyck_nf first)")
     n = len(w)
-    p = (n - 1) // 2
+    p = max(0, (n - 1) // 2)
     if n < 9:
         ok = member(g, w)
         return ok, AlternationTrace(

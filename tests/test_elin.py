@@ -330,3 +330,6 @@ def test_recognizer_report_text():
     assert "iterated division" in text
     short = d.recognize_atm(out, "c")[1].render()
     assert "parse table" in short
+    ok, empty = d.recognize_atm(out, "")
+    assert not ok and empty.p == 0
+    assert "p=0 < 4" in empty.render()
