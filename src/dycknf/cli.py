@@ -40,8 +40,8 @@ def _load(path):
 
 
 def _dyckified(g):
-    """g in Dyck normal form; on a grammar already in it, g unchanged, since
-    to_cnf and to_dyck_nf then have nothing to do."""
+    """g in Dyck normal form.  A grammar already in it comes back as it is:
+    to_cnf returns it and to_dyck_nf finds nothing to convert."""
     return to_dyck_nf(to_cnf(g))[0]
 
 
