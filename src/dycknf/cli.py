@@ -112,10 +112,8 @@ def _cmd_check_dyck(args):
 def _cmd_phi(args):
     ext = extend_grammar(_dyckified(_load(args.grammar)))
     phi = build_phi(ext)
-    classes = {}
-    for cls, pairs in partition_nonterminals(ext.base).items():
-        for pair in pairs:
-            classes[pair] = cls
+    classes = {pair: cls for cls, pairs in
+               partition_nonterminals(ext.base).items() for pair in pairs}
     rows = []
     for k, (left, right) in enumerate(ext.pairs, start=1):
         cls = classes.get((left, right), "extension")
@@ -165,10 +163,11 @@ def _cmd_verify_equiv(args):
     lines = [f"language up to length {args.max_len}: {len(words)} words, "
              + ("identical across original, cnf and dyck forms" if same
                 else "MISMATCH between original, cnf and dyck forms")]
-    probes = list(words[:args.samples])
+    probes = words[:args.samples]
+    known = set(probes)
     probes += [w for w in random_words(g.terminals, args.max_len,
                                        args.samples, args.seed)
-               if w not in set(probes)]
+               if w not in known]
     bad_cells = 0
     for w in probes:
         bad_cells += len(verify_equivalence_matrices(g_cnf, g_dyck, ledger, w))

@@ -109,43 +109,29 @@ def in_dk_lemma(word, k=None):
     balanced).  This never simulates a stack; it is the independent
     cross-check route for in_dk_stack.  Words shorter than 2 letters are
     never members.  `k`, when given, rejects words mentioning pairs beyond
-    k, as in_dk_stack does.
+    k, as in_dk_stack does.  Time and memory are set by the word alone,
+    not by its pair numbers or k.
     """
     _check_word(word)
-    n = len(word)
-    if n < 2:
+    if len(word) < 2 or not is_balanced(word):
         return False
-    if k is None:
-        k = max(abs(x) for x in word)
-    elif any(abs(x) > k for x in word):
+    if k is not None and any(abs(x) > k for x in word):
         return False
 
-    if not is_balanced(word):
-        return False
-
-    # one fused left-to-right sweep per start position finds every matched
-    # stretch and carries all per-pair depths and minima along
-    for i in range(n):
-        depth = 0
-        pdepth = [0] * (k + 1)
-        pmin = [0] * (k + 1)
-        for j in range(i, n):
-            x = word[j]
-            if x > 0:
-                depth += 1
-                pdepth[x] += 1
-            else:
-                depth -= 1
-                d = pdepth[-x] - 1
-                pdepth[-x] = d
-                if d < pmin[-x]:
-                    pmin[-x] = d
+    # one left-to-right sweep per start position finds every matched
+    # stretch, carrying the depth of each pair met so far and whether any
+    # of them went below zero
+    for i in range(len(word)):
+        depth, below, pdepth = 0, False, {}
+        for x in word[i:]:
+            step = 1 if x > 0 else -1
+            depth += step
             if depth < 0:
                 break
-            if depth == 0:
-                for kk in range(1, k + 1):
-                    if pdepth[kk] != 0 or pmin[kk] < 0:
-                        return False
+            d = pdepth[abs(x)] = pdepth.get(abs(x), 0) + step
+            below = below or d < 0
+            if depth == 0 and (below or any(pdepth.values())):
+                return False
     return True
 
 
@@ -200,23 +186,19 @@ def trace_from_rewriting(g, tree):
     return tuple(r.lhs for r in steps[1:])
 
 
-def encode_trace(code, trace):
-    """A trace as a bracket word, each name looked up in `code`, a map from
-    bracket name to signed pair number."""
+def trace_as_brackets(g, trace):
+    """Encode a trace over a Dyck normal form grammar as a bracket word.
+
+    Pair numbering is the canonical one from pairing_of: pair k of that list
+    is written +k / -k.  A name that is no paired bracket of g gets a
+    GrammarError.
+    """
+    code = g._brackets[0]
     try:
         return tuple(code[name] for name in trace)
     except KeyError as e:
         raise GrammarError(
             f"trace letter {e.args[0]} is not a paired bracket") from None
-
-
-def trace_as_brackets(g, trace):
-    """Encode a trace over a Dyck normal form grammar as a bracket word.
-
-    Pair numbering is the canonical one from pairing_of: pair k of that list
-    is written +k / -k.
-    """
-    return encode_trace(g._brackets[0], trace)
 
 
 def trace_language(g, max_word_len):

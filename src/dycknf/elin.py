@@ -173,8 +173,7 @@ def _alt_depth(m, d):
         return 0
     if m < d:
         return 1
-    q, _ = divmod(m, d)
-    return 2 + max(_alt_depth(q - 1, d), _alt_depth(q, d))
+    return 2 + _alt_depth(m // d, d)
 
 
 # ---- the recognizer ----

@@ -29,9 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .dyck import _traces_of, encode_trace, in_dk_stack, render_dyck_word
+from .dyck import _traces_of, in_dk_stack, render_dyck_word
 from .enumeration import DEFAULT_WORD_CAP, enumerate_words
-from .grammar import Grammar, GrammarError, Rule, fresh_name, pairing_of
+from .grammar import Grammar, GrammarError, fresh_name, pairing_of
 
 
 # ---- pair classification ----
@@ -63,15 +63,12 @@ def partition_nonterminals(g):
 class ExtendedGrammar:
     """A Dyck normal form grammar plus fresh pairs for its one-letter words.
 
-    `grammar` carries the extension as real rules (left bracket derives the
-    terminal, right bracket derives the empty word) so it can be printed and
-    inspected; membership machinery keeps running on `base`, which stays
-    lambda-free.  `pairs` is the full pairing - base pairs first, then one
-    fresh pair per start terminal rule, in rule order.
+    No second grammar is built.  `pairs` is the full pairing - base pairs
+    first, then one fresh pair per start terminal rule, in rule order - and
+    `new_pairs` names each fresh pair's terminal.
     """
 
     base: Grammar
-    grammar: Grammar
     pairs: tuple
     new_pairs: tuple  # (left, right, terminal) triples
     k_base: int
@@ -87,26 +84,12 @@ def extend_grammar(g):
     """
     base_pairs = pairing_of(g)
     used = set(g.nonterminals) | set(g.terminals)
-    nts = list(g.nonterminals)
-    rules = list(g.rules)
-    new_pairs = []
-    i = 0
-    for r in g.rules_for(g.start):
-        if len(r.rhs) != 1:
-            continue
-        i += 1
-        left = fresh_name(f"Lift{i}", used)
-        right = fresh_name(f"Drop{i}", used)
-        nts.extend([left, right])
-        rules.append(Rule(g.start, (left, right)))
-        rules.append(Rule(left, (r.rhs[0],)))
-        rules.append(Rule(right, ()))
-        new_pairs.append((left, right, r.rhs[0]))
-    ext = Grammar(nonterminals=nts, terminals=list(g.terminals),
-                  start=g.start, rules=rules)
+    letters = [r.rhs[0] for r in g.rules_for(g.start) if len(r.rhs) == 1]
+    new_pairs = tuple((fresh_name(f"Lift{i}", used),
+                       fresh_name(f"Drop{i}", used), t)
+                      for i, t in enumerate(letters, start=1))
     pairs = tuple(base_pairs) + tuple((l, r) for l, r, _ in new_pairs)
-    return ExtendedGrammar(base=g, grammar=ext, pairs=pairs,
-                           new_pairs=tuple(new_pairs),
+    return ExtendedGrammar(base=g, pairs=pairs, new_pairs=new_pairs,
                            k_base=len(base_pairs), k_total=len(pairs))
 
 
@@ -131,7 +114,8 @@ def apply_phi(phi, trace):
     try:
         return "".join(phi[name] for name in trace)
     except KeyError as e:
-        raise GrammarError(f"trace letter {e.args[0]} has no phi image")
+        raise GrammarError(
+            f"trace letter {e.args[0]} has no phi image") from None
 
 
 # ---- the desk-scale verification ----
@@ -196,7 +180,7 @@ def verify_characterization(g, max_len):
     for tr in sorted(dprime, key=lambda t: (len(t), t)):
         image = apply_phi(phi, tr)
         images.add(image)
-        word = encode_trace(code, tr)
+        word = tuple(code[name] for name in tr)
         if image not in language:
             extra.append((render_dyck_word(word), image))
         if not in_dk_stack(word, k=ext.k_total):

@@ -110,6 +110,15 @@ def test_check_dyck_verb(capsys):
     assert run(capsys, "check-dyck", "not brackets")[0] == 2
 
 
+def test_check_dyck_reports_disagreeing_routes(capsys, monkeypatch):
+    monkeypatch.setattr("dycknf.cli.in_dk_lemma",
+                        lambda word, k=None: not d.in_dk_lemma(word, k))
+    for text in ("[1 ]1", "[1 ]2"):
+        code, out, err = run(capsys, "check-dyck", text)
+        assert (code, out) == (2, "")
+        assert "BUG: routes disagree" in err
+
+
 # ---- the letter map ----
 
 def test_phi_verb(capsys):
@@ -152,6 +161,11 @@ def test_verify_equiv_verb(capsys):
     assert code == 0
     assert out.strip().endswith("ok")
     assert "cell mismatches" in out
+
+
+def test_verify_equiv_machine_output(capsys):
+    assert run(capsys, "verify-equiv", EXPR, "--max-len", "5",
+               "--machine") == (0, "ok\n", "")
 
 
 # ---- failure handling ----

@@ -4,11 +4,13 @@ predicates, and trace words read off parse trees two different ways."""
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import dycknf as d
+from dycknf.cli import main
 from dycknf.corpus import random_bracket_words
 from dycknf.dyck import _traces_of
 
@@ -71,6 +73,21 @@ def test_k_bound_handling():
     assert not d.in_dk_lemma(w, k=2)
     with pytest.raises(ValueError):
         d.in_dk_stack((0, 1))
+
+
+def test_counting_route_is_sized_by_the_word(capsys):
+    # pair numbers far beyond the word's length cost the counting route
+    # nothing: it tracks only the pairs the word names
+    for word, k in (((10**6, -10**6, 1, -1), None), ((1, -1), 10**6)):
+        tracemalloc.start()
+        try:
+            assert d.in_dk_lemma(word, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, (word, k, peak)
+    assert main(["check-dyck", "[1000000000 ]1000000000", "--machine"]) == 0
+    assert capsys.readouterr().out == "1\n"
 
 
 def test_balance_and_projections():
