@@ -30,9 +30,7 @@ from __future__ import annotations
 
 import re
 import reprlib
-from functools import cached_property
-from itertools import groupby
-from operator import attrgetter
+from functools import cached_property, partial
 from typing import NamedTuple
 
 
@@ -72,6 +70,11 @@ class Rule(NamedTuple):
         return f"{self.lhs} -> {' '.join(self.rhs) if self.rhs else 'eps'}"
 
 
+# a Rule from an (lhs, rhs) pair, built without the Python frame of the
+# generated Rule.__new__: the parser and the conversions build one per rule
+_rule = partial(tuple.__new__, Rule)
+
+
 class Grammar:
     """A context-free grammar with declaration-ordered symbol lists.
 
@@ -93,7 +96,8 @@ class Grammar:
         of that body), one entry per right partner, so exactly one per left
         symbol in Dyck normal form;
       * `_dyck_check`: the Dyck normal form violations, and the canonical
-        pairing when there are none (dyck_nf_violations and pairing_of);
+        pairing when there are none (dyck_nf_violations and pairing_of),
+        read off the rules in one pass, without `_cnf_index` or `_heads`;
       * `_brackets`: the bracket map of a Dyck normal form grammar, from
         that pairing: bracket name -> signed pair number (pair k of
         pairing_of is +k / -k), and non-start nonterminal -> its terminal or
@@ -122,20 +126,18 @@ class Grammar:
 
     @cached_property
     def _cnf_index(self):
-        # _is_cnf_rule's test, inlined: the member verb builds this index
-        # once per grammar it parses, and those reach ~1,000 rules
         _check(self)
+        if _off_cnf(self):
+            return None
         names = tuple(self.nonterminals)
         bit = {a: 1 << k for k, a in enumerate(names)}
         by_terminal = {}
         by_body = {}
         for lhs, rhs in self.rules:
-            if len(rhs) == 1 and rhs[0] in self._t_set:
+            if len(rhs) == 1:
                 by_terminal[rhs[0]] = by_terminal.get(rhs[0], 0) | bit[lhs]
-            elif len(rhs) == 2 and rhs[0] in bit and rhs[1] in bit:
-                by_body[rhs] = by_body.get(rhs, 0) | bit[lhs]
             else:
-                return None
+                by_body[rhs] = by_body.get(rhs, 0) | bit[lhs]
         by_left = {}
         for (b, c), heads in by_body.items():
             by_left.setdefault(bit[b], []).append((bit[c], heads))
@@ -246,40 +248,45 @@ def parse_grammar(text):
         raise ParseError(f"start symbol {start!r} has no rules", *start_at)
 
     terminals = {}
-    rules = []
-    seen = set()
+    rules = {}    # rule -> None, in text order
+    # the names, '|', 'eps' and each quoted terminal read so far: when every
+    # blank-separated piece of a body is one of these, the pieces are its
+    # tokens exactly, and the regular expression need not run
+    known = {"|", "eps", *heads}
     for lhs, rhs, lineno, col in bodies:
         rhs += " |"   # so a '|' ends every alternative, the last one too
-        body = []
-        first = 0     # the index of the alternative's first token
-        eps = None    # the index of its first 'eps'
-        for i, tok in enumerate(_TOKEN.findall(rhs)):
-            if tok in heads:
+        tokens = rhs.split()
+        if not known.issuperset(tokens):
+            tokens = _TOKEN.findall(rhs)
+        body = []     # every token of the alternative, up to its '|'
+        for i, tok in enumerate(tokens):
+            if tok in heads or tok == "eps":
                 body.append(tok)
             elif tok == "|":
-                if eps is not None and len(body) > 1:
-                    raise ParseError(
-                        "'eps' cannot be mixed with other symbols", lineno,
-                        col + _offset(rhs, eps))
-                if not body:
+                first = i - len(body)   # the alternative's first token
+                if "eps" in body:
+                    if len(body) > 1:
+                        raise ParseError(
+                            "'eps' cannot be mixed with other symbols",
+                            lineno,
+                            col + _offset(rhs, first + body.index("eps")))
+                    body = []
+                elif not body:
                     raise ParseError(
                         "empty alternative (write 'eps' for a lambda rule)",
                         lineno,
                         col + (_offset(rhs, first - 1) + 1 if first else 0))
-                if len(body) > DEFAULT_MAX_RHS:
+                elif len(body) > DEFAULT_MAX_RHS:
                     raise ParseError(
                         f"rule body has {len(body)} symbols, limit is "
                         f"{DEFAULT_MAX_RHS}", lineno,
                         col + _offset(rhs, first))
-                rule = Rule(lhs, () if eps is not None else tuple(body))
-                if rule in seen:
+                rule = _rule((lhs, tuple(body)))
+                if rule in rules:
                     raise ParseError(f"duplicate rule {rule}", lineno,
                                      col + _offset(rhs, first))
-                seen.add(rule)
-                rules.append(rule)
+                rules[rule] = None
                 body = []
-                first = i + 1
-                eps = None
             elif tok[0] == "'" and len(tok) == 3:
                 name = tok[1]
                 if name in heads:
@@ -288,11 +295,8 @@ def parse_grammar(text):
                         f"the same name", lineno, col + _offset(rhs, i))
                 if name not in terminals:
                     terminals[name] = None
+                    known.add(tok)
                 body.append(name)
-            elif tok == "eps":
-                if eps is None:
-                    eps = i
-                body.append(tok)
             elif _IDENT.match(tok):
                 raise ParseError(f"undeclared symbol {tok!r}", lineno,
                                  col + _offset(rhs, i))
@@ -325,19 +329,20 @@ def serialize(g):
         if nt not in heads:
             raise GrammarError(
                 f"cannot serialize: nonterminal {nt} has no rules")
-    for r in g.rules:
-        if len(r.rhs) > DEFAULT_MAX_RHS:
-            raise GrammarError(
-                f"cannot serialize: rule {r} has {len(r.rhs)} body symbols, "
-                f"more than DEFAULT_MAX_RHS={DEFAULT_MAX_RHS}")
     text = {t: f"'{t}'" for t in g.terminals}
     text.update((nt, nt) for nt in g.nonterminals)
-    lines = [f"start: {g.start}"]
-    for lhs, rules in groupby(g.rules, attrgetter("lhs")):
-        alts = " | ".join(" ".join([text[s] for s in r.rhs]) or "eps"
-                          for r in rules)
-        lines.append(f"{lhs} -> {alts}")
-    return "\n".join(lines) + "\n"
+    out = [f"start: {g.start}"]
+    head = None
+    for lhs, rhs in g.rules:
+        if len(rhs) > DEFAULT_MAX_RHS:
+            raise GrammarError(
+                f"cannot serialize: rule {Rule(lhs, rhs)} has {len(rhs)} body "
+                f"symbols, more than DEFAULT_MAX_RHS={DEFAULT_MAX_RHS}")
+        body = " ".join([text[s] for s in rhs]) or "eps"
+        # a rule under the same head joins its line, another starts one
+        out.append(f" | {body}" if lhs == head else f"\n{lhs} -> {body}")
+        head = lhs
+    return "".join(out) + "\n"
 
 
 def validate(g, allow_lambda=False):
@@ -405,10 +410,14 @@ def is_cnf(g):
     return g._cnf_index is not None
 
 
-def _is_cnf_rule(g, r):
-    return (len(r.rhs) == 1 and g.is_terminal(r.rhs[0])
-            or len(r.rhs) == 2 and g.is_nonterminal(r.rhs[0])
-            and g.is_nonterminal(r.rhs[1]))
+def _off_cnf(g):
+    """The rules of g, in order, that are neither head -> terminal nor
+    head -> pair of nonterminals: the CNF shape test of is_cnf and of the
+    Dyck normal form check."""
+    nts, ts = g._nt_set, g._t_set
+    return [r for r in g.rules
+            if not (len(rhs := r[1]) == 1 and rhs[0] in ts
+                    or len(rhs) == 2 and rhs[0] in nts and rhs[1] in nts)]
 
 
 def dyck_nf_violations(g):
@@ -429,38 +438,41 @@ def dyck_nf_violations(g):
 
 
 def _check_dyck_nf(g):
-    """(violations, pairing): the pairing is None unless there are none."""
-    if not is_cnf(g):
-        return tuple(("not-cnf", str(r)) for r in g.rules
-                     if not _is_cnf_rule(g, r)), None
+    """(violations, pairing): the pairing is None unless there are none.
+    After the CNF shape test, one pass over the rules finds the other
+    violations; the check builds neither the CYK index nor the head index."""
+    _check(g)
+    off = _off_cnf(g)
+    if off:
+        return tuple(("not-cnf", str(r)) for r in off), None
 
     violations = []
     pairs = []
     lefts = {}
     rights = {}
+    size = {}         # head -> its number of rules
+    lettered = set()  # the heads of terminal rules
+    start = g.start
     for r in g.rules:
-        if len(r.rhs) != 2:
+        lhs, rhs = r
+        size[lhs] = size.get(lhs, 0) + 1
+        if len(rhs) == 1:
+            lettered.add(lhs)
             continue
-        b, c = r.rhs
-        if g.start in (b, c):
+        b, c = rhs
+        if start == b or start == c:
             violations.append(("start-on-rhs", str(r)))
         if b in lefts and lefts[b] != c:
             violations.append(("left-conflict", b, lefts[b], c))
         if c in rights and rights[c] != b:
             violations.append(("right-conflict", c, rights[c], b))
         if b not in lefts and c not in rights:
-            pairs.append(r.rhs)
+            pairs.append(rhs)
         lefts.setdefault(b, c)
         rights.setdefault(c, b)
     violations.extend(("both-sides", nt) for nt in lefts if nt in rights)
-
-    heads = g._heads
-    for nt in g.nonterminals:
-        if nt == g.start:
-            continue
-        nt_rules = heads.get(nt, ())
-        if len(nt_rules) > 1 and any(len(r.rhs) == 1 for r in nt_rules):
-            violations.append(("mixed-terminal", nt))
+    violations.extend(("mixed-terminal", nt) for nt in g.nonterminals
+                      if nt != start and nt in lettered and size[nt] > 1)
     return tuple(violations), None if violations else tuple(pairs)
 
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cyk import build_table
-from .grammar import (Grammar, GrammarError, Rule, _check, _malformed_tree,
+from .grammar import (Grammar, GrammarError, _check, _malformed_tree, _rule,
                       dyck_nf_violations, fresh_name, is_cnf, validate,
                       validate_tree)
 
@@ -110,7 +110,7 @@ def with_fresh_start(g):
         return g
     used = set(g.nonterminals) | set(g.terminals)
     s0 = fresh_name(f"{g.start}0", used)
-    rules = [Rule(s0, r.rhs) for r in g.rules if r.lhs == g.start]
+    rules = [_rule((s0, r.rhs)) for r in g.rules if r.lhs == g.start]
     return Grammar([s0] + g.nonterminals, g.terminals, s0, rules + g.rules)
 
 
@@ -138,7 +138,7 @@ def collapse_units(g):
             for r in heads.get(tgt, ()):
                 if is_unit(r):
                     continue
-                cand = Rule(nt, r.rhs)
+                cand = _rule((nt, r.rhs))
                 if cand not in seen:
                     seen.add(cand)
                     rules.append(cand)
@@ -151,9 +151,10 @@ def to_cnf(g):
     """Convert a lambda-free grammar to Chomsky normal form.
 
     Input that is already in CNF with its start symbol off every rhs comes
-    back unchanged (object identity), so the conversion is idempotent and
-    safe to apply defensively.  Useless symbols are pruned at the end;
-    grammars with an empty language are rejected.
+    back unchanged (object identity), useless symbols included, so the
+    conversion is idempotent and safe to apply defensively.  Any other
+    input is converted and then pruned of useless symbols; grammars with
+    an empty language are rejected.
     """
     validate(g)
     if is_cnf(g) and all(g.start not in r.rhs for r in g.rules):
@@ -178,11 +179,11 @@ def to_cnf(g):
         while len(body) > 2:
             name = fresh_name(f"{lhs}_tail", used)
             tails.append(name)
-            rules.append(Rule(head, (body[0], name)))
+            rules.append(_rule((head, (body[0], name))))
             head = name
             body = body[1:]
-        rules.append(Rule(head, tuple(body)))
-    rules += [Rule(name, (t,)) for t, name in lit.items()]
+        rules.append(_rule((head, tuple(body))))
+    rules += [_rule((name, (t,))) for t, name in lit.items()]
     nts = g.nonterminals + list(lit.values()) + tails
 
     result = cleanup(collapse_units(Grammar(nts, g.terminals, g.start,
@@ -200,9 +201,11 @@ class _Conversion:
 
     Next to the rule list it keeps the positions of each head's rules and of
     each body's rules in that list, so the steps look rules up instead of
-    rescanning the list.  A step adds or rewrites only rules that hold a
-    symbol it has just minted, one per source rule and place, so no rule
-    repeats and the soup needs no duplicate check.
+    rescanning the list; add and stand_in's rule inheritance append to all
+    three.  A step adds or rewrites only rules that hold a symbol it has
+    just minted, one per source rule and place, so no rule repeats and the
+    soup needs no duplicate check.  Rules are built by grammar._rule, with
+    no Python frame per rule.
     """
 
     def __init__(self, g, left_out):
@@ -242,12 +245,18 @@ class _Conversion:
         old = b if side == "L" else c
         f = self.fresh(old, side, "nonterminal", step)
         new = (f, c) if side == "L" else (b, f)
+        rules = self.rules
         at = self.by_body.pop(body)
         for i in at:
-            self.rules[i] = Rule(self.rules[i].lhs, new)
+            rules[i] = _rule((rules[i][0], new))
         self.by_body[new] = at
+        # the inherited rules; every body in the soup has its by_body entry
+        inherited = self.by_head[f] = []
         for i in self.by_head.get(old, ()):
-            self.add(Rule(f, self.rules[i].rhs))
+            rhs = rules[i][1]
+            inherited.append(len(rules))
+            self.by_body[rhs].append(len(rules))
+            rules.append(_rule((f, rhs)))
 
 
 def to_dyck_nf(g):
@@ -291,7 +300,7 @@ def _duplicate_occurrences(st, old, new):
         for y in (c, new) if c == old else (c,):
             for x in (b, new) if b == old else (b,):
                 if (x, y) != (b, c):
-                    st.add(Rule(lhs, (x, y)))
+                    st.add(_rule((lhs, (x, y))))
 
 
 def _split_terminal_conflicts(g):
@@ -314,7 +323,7 @@ def _split_terminal_conflicts(g):
     st = _Conversion(g, set(extra + first))
     for tr in extra + first:
         f = st.fresh(tr.lhs, "t", "terminal", 1)
-        st.add(Rule(f, tr.rhs))
+        st.add(_rule((f, tr.rhs)))
         _duplicate_occurrences(st, tr.lhs, f)
     return st
 

@@ -49,6 +49,19 @@ def test_dyckify_pipes_into_member(capsys, monkeypatch):
     assert code == 0 and text.strip() == "member"
 
 
+def test_dyckify_is_a_fixed_point_on_its_own_output(capsys, monkeypatch,
+                                                    cnf_corpus):
+    # its rule lines, read back, are in Dyck normal form already
+    sources = [(EXPR, "")] + [("-", d.serialize(g)) for g in cnf_corpus]
+    for path, stdin in sources:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        _, out, _ = run(capsys, "dyckify", path)
+        rules = "".join(line + "\n" for line in out.splitlines()
+                        if not line.startswith("#"))
+        monkeypatch.setattr("sys.stdin", io.StringIO(rules))
+        assert run(capsys, "dyckify", "-") == (0, rules, ""), (path, stdin)
+
+
 # ---- membership and traces ----
 
 def test_member_verb(capsys):

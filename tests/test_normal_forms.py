@@ -7,6 +7,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import inspect
+import itertools
 import re
 import sys
 
@@ -54,6 +55,10 @@ def test_to_cnf_shape_and_language(expr):
 
 def test_to_cnf_is_identity_on_cnf(expr_cnf):
     assert d.to_cnf(expr_cnf) is expr_cnf
+    # useless symbols included: only a converted input is pruned
+    g = d.parse_grammar("start: S\nS -> A B | 'a'\nA -> 'a'\nB -> 'b'\n"
+                        "C -> 'c'")
+    assert d.to_cnf(g) is g and "C" in g.nonterminals
 
 
 def test_to_cnf_collapses_unit_chains():
@@ -67,6 +72,19 @@ def test_to_cnf_rejects_lambda():
     g = d.parse_grammar("start: S\nS -> 'a' | eps")
     with pytest.raises(d.GrammarError):
         d.to_cnf(g)
+
+
+def test_every_rule_built_is_a_rule(expr, cnf_corpus, elin_grammars):
+    # a plain (lhs, rhs) tuple equals the Rule it stands for, so a rule
+    # built without the class would pass every digest
+    built = [expr, d.to_cnf(expr), d.to_dyck_nf(d.to_cnf(expr))[0]]
+    for g in cnf_corpus:
+        built += [d.parse_grammar(d.serialize(g)), d.to_dyck_nf(g)[0]]
+    built += [d.elin_to_dyck_nf(g)[0] for g in elin_grammars]
+    for g in built:
+        for r in g.rules:
+            assert type(r) is d.Rule, (g, r)
+            assert str(r).startswith(f"{r.lhs} -> "), r
 
 
 # ---- the golden conversion ----
@@ -188,6 +206,23 @@ def test_conversion_bytes_are_pinned():
         gd, ledger = d.elin_to_dyck_nf(g)
         digest.update((d.serialize(gd) + d.ledger_text(ledger)).encode())
     assert digest.hexdigest() == CONVERSION_DIGEST
+
+
+def test_dyck_postcondition_builds_no_cyk_index(expr, cnf_corpus):
+    # the check of to_dyck_nf's output and pairing_of read the rules
+    # alone; the bitset index is built when CYK first runs
+    for g in [d.to_cnf(expr)] + cnf_corpus:
+        out, _ = d.to_dyck_nf(g)
+        assert d.dyck_nf_violations(out) == [] and d.pairing_of(out)
+        assert "_cnf_index" not in vars(out)
+        words = set(d.enumerate_words(out, 5))
+        for n in range(1, 6):
+            for letters in itertools.product(out.terminals, repeat=n):
+                w = "".join(letters)
+                assert d.member(out, w) == (w in words), (g, w)
+    assert d.dyck_nf_violations(expr) == [
+        ("not-cnf", "E -> T * R"), ("not-cnf", "E -> E + T"),
+        ("not-cnf", "T -> T * R")]
 
 
 def test_stand_in_names_step_past_declared_ones():
