@@ -14,7 +14,8 @@ import itertools
 import random
 
 from .enumeration import enumerate_words
-from .grammar import Grammar, GrammarError, Rule, parse_grammar, serialize
+from .grammar import (Grammar, GrammarError, _rule, parse_grammar,
+                      serialize)
 from .normal_forms import cleanup
 
 _NAMES = ["S", "A", "B", "C", "D", "F", "G", "H"]
@@ -38,7 +39,8 @@ def _draw(kind, seed, alphabet, nts_range, body, max_len, long_len):
     for attempt in range(200):
         rng = random.Random(f"{kind}:{seed}:{attempt}")
         nts = _NAMES[:rng.randint(*nts_range)]
-        rules = dict.fromkeys(Rule(nt, body(rng, nts, alphabet)) for nt in nts
+        rules = dict.fromkeys(_rule((nt, body(rng, nts, alphabet)))
+                              for nt in nts
                               for _ in range(rng.randint(1, 3)))
         try:
             g = cleanup(Grammar(nts, list(alphabet), nts[0], list(rules)))

@@ -7,16 +7,20 @@ two conventions aligned prevents a whole class of off-by-one bugs.
 build_table works on bitsets: a cell is one int mask over the grammar's
 nonterminals.  It pushes rather than pulls: each finished cell is combined
 with the nonempty cells of the next row only, never with an empty one, and
-each distinct pair of masks is worked out once per call, by one partner test
-per bit of the left mask (one partner per symbol in Dyck normal form).  It
-returns the masks in a read-only view, CYKTable, that maps each (i, j) to a
-set of nonterminal names but decodes a cell only when that cell is read.
-member and the tree walks test bits of the masks themselves, so they decode
-nothing.
+each distinct pair of masks is worked out once per grammar, by one partner
+test per bit of the left mask (one partner per symbol in Dyck normal form),
+into a pair table that the grammar's cached index keeps for every later
+call.  It returns the masks in a read-only view, CYKTable, that maps each
+(i, j) to a set of nonterminal names but decodes a cell only when that cell
+is read.  member and the tree walks test bits of the masks themselves, so
+they decode nothing.
 
 extract_tree, count_trees, and through _every_parse all_trees and the dyck
 module's trace sets, read a word's one parse forest by one bottom-up walk
 (_evaluate) on an explicit stack, so no deep tree meets the recursion limit.
+The walk finds a node's children from its head's binary bodies, (B, C)
+pairs in declaration order, which the grammar caches apart from the index
+build_table reads.
 
 extract_tree is deterministic on purpose: ambiguous words always yield the
 same canonical tree (smallest split point, then first applicable rule in
@@ -76,16 +80,20 @@ def build_table(g, w):
     each left to right; a cell is final when the loop reaches it, and is
     then pushed into every cell it can be the left half of, by combining
     it with each nonempty cell of the next row.  So only pairs of nonempty
-    cells are combined, and each distinct pair of masks once per call.
+    cells are combined, and each distinct pair of masks once per grammar:
+    the index's pair table (left mask -> right mask -> heads) fills as pairs
+    first meet and keeps them for later words.  It holds one entry per
+    distinct pair of nonempty cell masks that has met in some table of the
+    grammar, so it grows with the square of the number of distinct cell
+    masks the grammar's tables hold, not with the number of calls.
     """
     index = g._cnf_index
     if index is None:
         raise GrammarError(_NOT_CNF)
-    _, _, by_terminal, by_left = index
+    _, _, by_terminal, by_left, products = index
     n = len(w)
     rows = [[0] * n for _ in range(n)]  # rows[i][j]: the mask of w[i..j]
     filled = [[] for _ in range(n + 1)]  # filled[i]: (j, rows[i][j]) if != 0
-    products = {}  # left mask -> {right mask -> _product(by_left, ...)}
     for i in range(n - 1, -1, -1):
         row, cells = rows[i], filled[i]
         row[i] = by_terminal.get(w[i], 0)
@@ -213,6 +221,7 @@ def _evaluate(g, w, table, leaf, node, first=False):
     pairs), pairs being the (left, right) values of its alternatives in
     canonical order; first=True reads only the first alternative.
     """
+    bodies = g._binary_bodies
     values = {}
     alternatives = {}
     stack = [(g.start, 1, len(w))]
@@ -229,15 +238,16 @@ def _evaluate(g, w, table, leaf, node, first=False):
                                [(values[b], values[c]) for b, c in alts])
         else:
             alts = alternatives[key] = _alternatives(
-                g._heads.get(a, ()), table, i, j, first)
+                bodies.get(a, ()), table, i, j, first)
             stack.append(key)  # comes back once its children have values
             for b, c in reversed(alts):
                 stack += c, b
     return values[(g.start, 1, len(w))]
 
 
-def _alternatives(rules, table, i, j, first):
-    """(left, right) children over w_i..w_j: by split point, then rule."""
+def _alternatives(bodies, table, i, j, first):
+    """(left, right) children over w_i..w_j, from the head's binary bodies
+    (B, C) in declaration order: by split point, then body."""
     rows, bit = table._rows, table._index[1]
     row = rows[i - 1]
     found = []
@@ -245,10 +255,9 @@ def _alternatives(rules, table, i, j, first):
         left, right = row[l - 1], rows[l][j - 1]
         if not (left and right):
             continue
-        for r in rules:
-            rhs = r.rhs
-            if len(rhs) == 2 and left & bit[rhs[0]] and right & bit[rhs[1]]:
-                found.append(((rhs[0], i, l), (rhs[1], l + 1, j)))
+        for b, c in bodies:
+            if left & bit[b] and right & bit[c]:
+                found.append(((b, i, l), (c, l + 1, j)))
                 if first:
                     return found
     return found

@@ -32,8 +32,8 @@ from .cyk import member
 from .grammar import (
     Grammar,
     GrammarError,
-    Rule,
     _check,
+    _rule,
     fresh_name,
     pairing_of,
     validate,
@@ -86,22 +86,22 @@ def _ladder(g):
             body = rhs[1:-1]
             if body not in mids:
                 mids[body] = fresh_name(f"Mid{len(mids) + 1}", used)
-                pending.append(Rule(mids[body], body))
+                pending.append(_rule((mids[body], body)))
             rhs = (rhs[0], mids[body], rhs[-1])
         if len(rhs) == 1:
-            rules.append(Rule(lhs, rhs))
+            rules.append(_rule((lhs, rhs)))
             continue
         if rhs not in steps:
             k = len(steps) + 1
             names = [fresh_name(f"{tag}{k}", used)
                      for tag in ("LMR" if len(rhs) == 3 else "LR")]
             step_nts += names
-            extra.append(Rule(names[0], rhs[:1]))
+            extra.append(_rule((names[0], rhs[:1])))
             if len(rhs) == 3:
-                extra.append(Rule(names[1], (rhs[1], names[2])))
-            extra.append(Rule(names[-1], rhs[-1:]))
+                extra.append(_rule((names[1], (rhs[1], names[2]))))
+            extra.append(_rule((names[-1], rhs[-1:])))
             steps[rhs] = tuple(names[:2])
-        rules.append(Rule(lhs, steps[rhs]))
+        rules.append(_rule((lhs, steps[rhs])))
     return Grammar(g.nonterminals + list(mids.values()) + step_nts,
                    g.terminals, g.start, rules + extra)
 

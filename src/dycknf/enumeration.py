@@ -12,13 +12,14 @@ Only the first sweep of a length runs every rule.  A later sweep re-runs
 the rules that a symbol changed by the sweep before it can reach.  At
 length 0 every nonterminal counts as nullable, so a changed symbol reaches
 each rule whose body holds no terminal (a body with a terminal never
-derives the empty word).  Once length 0 is saturated, the nullable symbols
-(those deriving the empty word) are final, and a word of length n >= 1
-that uses a length-n word of B needs every other body symbol to derive the
-empty word; so B reaches a rule only when B is in its body and every other
-body symbol is nullable.  A lambda-free grammar (every CNF and Dyck normal
-form grammar) therefore re-runs only its unit rules, and without unit
-rules needs one sweep per length.
+derives the empty word); a grammar without lambda rules changes nothing
+at length 0, so it never builds that map.  Once length 0 is saturated, the
+nullable symbols (those deriving the empty word) are final, and a word of
+length n >= 1 that uses a length-n word of B needs every other body symbol
+to derive the empty word; so B reaches a rule only when B is in its body
+and every other body symbol is nullable.  A lambda-free grammar (every CNF
+and Dyck normal form grammar) therefore re-runs only its unit rules, and
+without unit rules needs one sweep per length.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ def derivable_words(g, max_len, cap=DEFAULT_WORD_CAP):
     saturated everything shorter is already final.  Within one length the
     first sweep runs every rule; each later sweep runs, in rule order, only
     the rules that the last sweep's changed heads reach.  At length 0 a
-    changed symbol reaches every rule whose body is all nonterminals.  The
+    changed symbol reaches every rule whose body is all nonterminals; that
+    map is built only when a length-0 sweep changes a symbol.  The
     nullable set is final after length 0, and a rule gains a length-n word
     from a length-n word of one body symbol only when every other body
     symbol contributes the empty word; so from length 1 on a symbol reaches
@@ -63,7 +65,7 @@ def derivable_words(g, max_len, cap=DEFAULT_WORD_CAP):
         table[t] = [{t} if n == 1 else set() for n in range(max_len + 1)]
     rules = g.rules
     stored = 0
-    reach = _reach(g, set(g.nonterminals))
+    reach = None  # the length-0 map waits for a sweep to change a symbol
     for n in range(0, max_len + 1):
         todo = range(len(rules))
         while todo:
@@ -79,6 +81,8 @@ def derivable_words(g, max_len, cap=DEFAULT_WORD_CAP):
                             f"enumeration exceeded {cap} stored words "
                             f"(grammar {g!r}, max_len {max_len})")
                     changed.add(lhs)
+            if changed and reach is None:  # only at length 0
+                reach = _reach(g, set(g.nonterminals))
             todo = sorted({i for s in changed for i in reach.get(s, ())})
         if n == 0:
             reach = _reach(g, {nt for nt in g.nonterminals if table[nt][0]})
@@ -107,26 +111,27 @@ def _reach(g, nullable):
 def _compose(table, rhs, n):
     """Words of length n formed by concatenating one word per rhs symbol.
 
-    Every symbol but the last extends the prefixes to each length that still
-    fits; the last one takes exactly the remaining length.
+    The prefixes start as the first symbol's row, its word sets themselves,
+    or as the empty word for a lambda body.  Every later symbol but the
+    last extends them to each length that still fits; the last one takes
+    exactly the remaining length.  A one-symbol body's words are that
+    symbol's own set of the table, so the caller only reads the result.
     """
-    if not rhs:
-        return {""} if n == 0 else set()
-    parts = {0: {""}}  # prefix length -> prefixes
-    for sym in rhs[:-1]:
-        cells = table[sym]
+    if rhs:
+        row = table[rhs[0]]
+        parts = {m: row[m] for m in range(n + 1) if row[m]}
+    else:
+        parts = {0: {""}}  # prefix length -> prefixes
+    last = len(rhs) - 1
+    for k in range(1, len(rhs)):
+        cells = table[rhs[k]]
         nxt = {}
         for have, words in parts.items():
-            for m in range(n - have + 1):
+            for m in range(n - have + 1) if k < last else (n - have,):
                 if cells[m]:
                     nxt.setdefault(have + m, set()).update(
                         [a + b for a in words for b in cells[m]])
         if not nxt:
             return set()
         parts = nxt
-    cells = table[rhs[-1]]
-    out = set()
-    for have, words in parts.items():
-        if cells[n - have]:
-            out.update([a + b for a in words for b in cells[n - have]])
-    return out
+    return parts.get(n, set())

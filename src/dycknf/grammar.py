@@ -87,14 +87,22 @@ class Grammar:
         and by every public function that builds none, so that each refuses
         an unsound grammar with validate's message;
       * `_heads`: head -> tuple of its rules in declaration order
-        (rules_for, validate_tree and the CYK tree walks);
+        (rules_for, validate_tree, and collapse_units and the terminal
+        stand-in plan of the conversions);
       * `_cnf_index`: None when the grammar is not in Chomsky normal form
         (is_cnf), else the bitsets the cyk module reads: the nonterminals
         in declaration order (bit k stands for the k-th), nonterminal ->
-        its bit, terminal -> mask of the heads of its terminal rules, and
+        its bit, terminal -> mask of the heads of its terminal rules,
         left-child bit -> tuple of (right-partner mask, mask of the heads
         of that body), one entry per right partner, so exactly one per left
-        symbol in Dyck normal form;
+        symbol in Dyck normal form, and the pair table build_table fills
+        as it goes: left mask -> right mask -> mask of the heads of the
+        bodies they make.  The table is a pure function of the rules, so
+        it can live as long as the grammar;
+      * `_binary_bodies`: head -> tuple of its binary bodies (B, C) in
+        declaration order, the children the CYK tree walks try.  It is
+        apart from `_cnf_index` so that member, which walks no tree,
+        never builds it;
       * `_dyck_check`: the Dyck normal form violations, and the canonical
         pairing when there are none (dyck_nf_violations and pairing_of),
         read off the rules in one pass, without `_cnf_index` or `_heads`;
@@ -142,7 +150,16 @@ class Grammar:
         for (b, c), heads in by_body.items():
             by_left.setdefault(bit[b], []).append((bit[c], heads))
         return (names, bit, by_terminal,
-                {b: tuple(p) for b, p in by_left.items()})
+                {b: tuple(p) for b, p in by_left.items()}, {})
+
+    @cached_property
+    def _binary_bodies(self):
+        _check(self)
+        bodies = {}
+        for lhs, rhs in self.rules:
+            if len(rhs) == 2:
+                bodies.setdefault(lhs, []).append(rhs)
+        return {a: tuple(b) for a, b in bodies.items()}
 
     @cached_property
     def _dyck_check(self):

@@ -188,7 +188,8 @@ def test_walker_output_is_pinned(expr_cnf):
 def test_dense_tables_match_the_scan(expr_converted, elin_converted,
                                      scan_table):
     """Long members, where many cells are full and mask pairs recur, with
-    the grammars interleaved so that state kept between calls would show."""
+    the grammars interleaved so that state leaking from one grammar's calls
+    into another's would show."""
     rng = random.Random("dense-tables")
     expression = [(expr_converted[0],
                    "a" + "".join(rng.choice("*+") + "a" for _ in range(n)))
@@ -232,6 +233,58 @@ def test_table_view_contract(expr_cnf, scan_table):
     assert table[(1, 3)] == kept and kept
     with pytest.raises(TypeError):
         table[(1, 1)] = set()
+
+
+def test_pair_table_stays_with_its_grammar(scan_table):
+    """Two grammars over the same nonterminals in the same order give the
+    same bits, but their binary rules make other products of the same mask
+    pairs; run on the same words in turn, each must keep its own answers."""
+    nts, ts = ["S", "A", "B", "C"], ["a", "b"]
+    letters = [d.Rule("A", ("a",)), d.Rule("B", ("b",)),
+               d.Rule("C", ("a",))]
+    one = d.Grammar(nts, ts, "S", letters + [
+        d.Rule("S", ("A", "B")), d.Rule("S", ("C", "C")),
+        d.Rule("A", ("A", "B")), d.Rule("C", ("B", "A"))])
+    other = d.Grammar(nts, ts, "S", letters + [
+        d.Rule("S", ("B", "A")), d.Rule("S", ("A", "C")),
+        d.Rule("A", ("B", "A")), d.Rule("C", ("A", "B"))])
+    words = ["".join(p) for n in range(1, 7)
+             for p in itertools.product(ts, repeat=n)]
+    languages = {g: set(d.enumerate_words(g, 6)) for g in (one, other)}
+    assert languages[one] != languages[other]
+    for w in words:
+        for g in (one, other):
+            assert d.build_table(g, w) == scan_table(g, w), (g.rules, w)
+            assert d.member(g, w) == (w in languages[g])
+
+
+def test_warmed_grammar_gives_a_fresh_copys_tables(expr_converted):
+    gd, _ = expr_converted
+    words = ["".join(p) for n in range(1, 6)
+             for p in itertools.product(gd.terminals, repeat=n)]
+    assert len(words) >= 200
+    for w in words:  # warm every table cache of gd
+        d.build_table(gd, w)
+    for w in words:
+        fresh = d.Grammar(gd.nonterminals, gd.terminals, gd.start, gd.rules)
+        assert _table_dump(gd, w) == _table_dump(fresh, w), w
+
+
+def test_alternatives_follow_split_then_declaration_order():
+    # S's binary rules stand on both sides of its terminal rule; over aab
+    # the split after the first letter has two bodies, declared after the
+    # terminal rule, and the split after the second has the first body
+    g = d.parse_grammar("start: S\n"
+                        "S -> P Q | 'c' | A R | A Q\n"
+                        "A -> 'a'\nB -> 'b'\n"
+                        "P -> A A\nQ -> 'b' | A B\nR -> A B | 'b'\n")
+    a, b = ("A", ("a",)), ("B", ("b",))
+    trees = [("S", (a, ("R", (a, b)))),
+             ("S", (a, ("Q", (a, b)))),
+             ("S", (("P", (a, a)), ("Q", ("b",))))]
+    assert d.extract_tree(g, "aab") == trees[0]
+    assert d.all_trees(g, "aab") == trees
+    assert d.count_trees(g, "aab") == 3
 
 
 def test_empty_language_cleanup_raises():

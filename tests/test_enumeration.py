@@ -115,3 +115,19 @@ def test_imports_nothing_but_the_grammar_module():
                 if isinstance(node, ast.ImportFrom)}
     assert not any(isinstance(node, ast.Import) for node in ast.walk(tree))
     assert imported == {"__future__", "grammar"}
+
+
+def test_length_zero_map_only_for_a_grammar_that_needs_it(monkeypatch,
+                                                           expr_cnf):
+    built = []
+    reach = enumeration._reach
+    monkeypatch.setattr(enumeration, "_reach",
+                        lambda g, nullable: built.append(nullable)
+                        or reach(g, nullable))
+    derivable_words(expr_cnf, 5)
+    assert built == [set()]  # only the map for lengths 1 and up
+    built.clear()
+    text, max_len, _, words = GOLDEN["nullable first"]
+    assert d.enumerate_words(d.parse_grammar(text), max_len) == words
+    # every nonterminal counts as nullable at length 0, then only N and M
+    assert built == [{"S", "A", "N", "M"}, {"N", "M"}]
