@@ -25,7 +25,6 @@ count is the interesting quantity.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
 
 from .cyk import member
@@ -38,8 +37,7 @@ from .grammar import (
     pairing_of,
     validate,
 )
-from .normal_forms import (cleanup, collapse_units, to_dyck_nf,
-                           with_fresh_start)
+from .normal_forms import cleanup, to_cnf, to_dyck_nf
 from .phi import partition_nonterminals
 
 
@@ -79,9 +77,8 @@ def _ladder(g):
     step_nts = []
     rules = []
     extra = []
-    pending = deque(g.rules)
-    while pending:
-        lhs, rhs = pending.popleft()
+    pending = list(g.rules)
+    for lhs, rhs in pending:
         if len(rhs) > 2 and not (len(rhs) == 3 and g.is_nonterminal(rhs[1])):
             body = rhs[1:-1]
             if body not in mids:
@@ -109,11 +106,13 @@ def _ladder(g):
 def elin_to_dyck_nf(g):
     """Dyck normal form for an even linear grammar, ladder shape intact.
 
-    After cleanup, a fresh start and unit collapse, the one ladder pass
-    (_ladder) cuts every body to a shared L/M/R step, and to_dyck_nf
-    finishes.  Returns (grammar, ledger) like to_dyck_nf.  The output is
-    guaranteed to have a terminal rule on at least one side of every
-    bracket pair; if that ever failed the pipeline would raise
+    After cleanup, the one ladder pass (_ladder) cuts every body to a
+    shared L/M/R step, and to_dyck_nf(to_cnf(.)), the route every grammar
+    takes, finishes: to_cnf adds the fresh start, collapses unit rules and
+    cleans up, and only copies the ladder's rules, each a single symbol or
+    a pair of nonterminals.  Returns (grammar, ledger) like to_dyck_nf.
+    The output is guaranteed to have a terminal rule on at least one side
+    of every bracket pair; if that ever failed the pipeline would raise
     PipelineShapeError rather than hand over a grammar the recognizer
     cannot handle.
 
@@ -126,11 +125,7 @@ def elin_to_dyck_nf(g):
     if not is_even_linear(g):
         raise GrammarError("input is not even linear (want at most one "
                            "nonterminal per body, flanks of equal length)")
-    g = cleanup(g)
-    g = with_fresh_start(g)
-    g = collapse_units(g)
-    g = cleanup(g)
-    out, ledger = to_dyck_nf(_ladder(g))
+    out, ledger = to_dyck_nf(to_cnf(_ladder(cleanup(g))))
     leftovers = partition_nonterminals(out)["no_terminal"]
     if leftovers:
         raise PipelineShapeError(
@@ -222,8 +217,9 @@ class _Search:
     """Shared state for one divide-and-conquer membership run: the duties
     between adjacent ladder positions and decide, the one guess loop over
     them.  pairs is partition_nonterminals(g); partner sends each left
-    bracket to its right one, by pairing_of; phi is the letter map that g
-    caches and build_phi copies, so it is read, never written."""
+    bracket to its right one, by pairing_of; phi (the letter map) and
+    bodies (head -> its binary bodies in declaration order) are g's cached
+    _brackets[1] and _binary_bodies, so they are read, never written."""
 
     def __init__(self, g, w, d, pairs):
         self.w = w
@@ -232,11 +228,8 @@ class _Search:
         self.d = d
         self.partner = dict(pairing_of(g))
         self.phi = g._brackets[1]
-        self.rules_bin = {}
-        for lhs, rhs in g.rules:
-            if len(rhs) == 2:
-                self.rules_bin.setdefault(lhs, set()).add(rhs)
-        self.start_bodies = self.rules_bin.get(g.start, set())
+        self.bodies = g._binary_bodies
+        self.start_bodies = self.bodies.get(g.start, ())
         self.cands = [l for l, _ in pairs["left_terminal"]]
         self.memo = {}
         self.nodes = 0
@@ -258,9 +251,9 @@ class _Search:
         if self.phi[jk] != w[k - 1] or self.phi[jk1] != w[k]:
             return False
         target = (jk1, self.partner[jk1])
-        for il, ir in self.rules_bin.get(self.partner[jk], ()):
+        for il, ir in self.bodies.get(self.partner[jk], ()):
             if (self.phi[ir] == w[n - k]
-                    and target in self.rules_bin.get(il, ())):
+                    and target in self.bodies.get(il, ())):
                 return True
         return False
 
@@ -271,10 +264,10 @@ class _Search:
         w, p = self.w, self.p
         if self.phi[jp] != w[p - 1]:
             return False
-        bodies = self.rules_bin.get(self.partner[jp], ())
+        bodies = self.bodies.get(self.partner[jp], ())
         if self.n % 2 == 0:
             bodies = (body for il, ir in bodies if self.phi[ir] == w[p + 2]
-                      for body in self.rules_bin.get(il, ()))
+                      for body in self.bodies.get(il, ()))
         return any(self.phi[cl] == w[p] and self.phi[cr] == w[p + 1]
                    for cl, cr in bodies)
 

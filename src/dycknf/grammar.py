@@ -78,7 +78,9 @@ _rule = partial(tuple.__new__, Rule)
 class Grammar:
     """A context-free grammar with declaration-ordered symbol lists.
 
-    A Grammar is never mutated after construction: the constructor copies
+    Its rules are Rules with tuple bodies, as the layers read the fields by
+    name and hash the bodies; validate refuses a plain (lhs, rhs) pair.  A
+    Grammar is never mutated after construction: the constructor copies
     the lists it is given, and nothing changes the public fields afterwards.
     So the questions every layer asks of a grammar are answered from indexes
     built once, on first use, and cached on the instance:
@@ -100,7 +102,8 @@ class Grammar:
         bodies they make.  The table is a pure function of the rules, so
         it can live as long as the grammar;
       * `_binary_bodies`: head -> tuple of its binary bodies (B, C) in
-        declaration order, the children the CYK tree walks try.  It is
+        declaration order, the children the CYK tree walks try and the
+        steps the even linear recognizer (elin._Search) follows.  It is
         apart from `_cnf_index` so that member, which walks no tree,
         never builds it;
       * `_dyck_check`: the Dyck normal form violations, and the canonical
@@ -365,9 +368,9 @@ def serialize(g):
 def validate(g, allow_lambda=False):
     """Raise GrammarError on structural defects; return None when sound.
 
-    Checks symbol well-formedness, declaredness, single-character terminals,
-    terminal/nonterminal name disjointness, duplicate rules, and (unless
-    allow_lambda) the absence of lambda rules.  The check runs at most once
+    Checks Rule-typed rules with tuple bodies, symbol well-formedness,
+    declaredness, single-character terminals, terminal/nonterminal name
+    disjointness, duplicate rules, and (unless allow_lambda) no lambda rules.  The check runs at most once
     per Grammar, and every public function refuses with its message.
     """
     _check(g, allow_lambda)
@@ -406,7 +409,11 @@ def _find_defects(g):
     lambda_rule = None
     seen_rules = set()
     for r in g.rules:
+        if not isinstance(r, Rule):
+            return f"rule {r!r} is not a Rule", lambda_rule
         lhs, rhs = r
+        if not isinstance(rhs, tuple):
+            return f"body of rule {lhs} is not a tuple: {rhs!r}", lambda_rule
         if lhs not in g._nt_set:
             return f"rule head {lhs!r} is not declared", lambda_rule
         if not rhs and lambda_rule is None:
@@ -665,9 +672,8 @@ def find_isomorphism(g1, g2):
         for b in stack[-1]:
             if b not in used:
                 mapping[a] = b
-                if all(Rule(mapping[r.lhs], tuple(mapping.get(s, s)
-                                                  for s in r.rhs)) in rules2
-                       for r in due[k]):
+                if all((mapping[lhs], tuple(mapping.get(s, s) for s in rhs))
+                       in rules2 for lhs, rhs in due[k]):
                     used.add(b)
                     break
                 del mapping[a]

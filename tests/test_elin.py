@@ -13,6 +13,7 @@ import dycknf as d
 from dycknf.corpus import (
     canonical_elin_grammar,
     corpus_grammars,
+    elin_corpus,
     mutate_words,
     random_elin_grammar,
     random_elin_members,
@@ -54,16 +55,57 @@ def test_pipeline_golden():
         ("S_t1", "S"), ("R1_R1", "R1")}
 
 
+# sha256 of serialize(out) + ledger_text(ledger) over the grammars below,
+# none of which has a unit rule; any change to a name, a rule or its order
+# in the pipeline's output changes it
+PIPELINE_DIGEST = ("e0df39ea10b5d22c2f04f2bc3171681a"
+                   "b36a1a7bd1f0cb5a7b04c14abe4acfae")
+
+
+def test_pipeline_output_is_pinned():
+    grammars = elin_corpus(5) + [random_elin_grammar(f"pin:{i}")
+                                 for i in range(60)]
+    digest = hashlib.sha256()
+    rules = 0
+    for g in grammars:
+        assert not any(len(r.rhs) == 1 and g.is_nonterminal(r.rhs[0])
+                       for r in g.rules)
+        out, ledger = d.elin_to_dyck_nf(g)
+        rules += len(out.rules)
+        digest.update((d.serialize(out) + d.ledger_text(ledger)).encode())
+    assert rules == 1242
+    assert digest.hexdigest() == PIPELINE_DIGEST
+
+
 def test_pipeline_handles_long_flanks_and_units():
     g = d.parse_grammar("""
         start: S
         S -> 'a' 'a' S 'b' 'b' | A
         A -> 'a' 'b'
     """)
-    out, _ = d.elin_to_dyck_nf(g)
-    assert d.is_dyck_nf(out)
-    assert not d.partition_nonterminals(out)["no_terminal"]
-    assert d.enumerate_words(g, 10) == d.enumerate_words(out, 10)
+    units = [
+        # a start whose only rule is a unit
+        "start: S\nS -> T\nT -> 'a' T 'b' | 'b' T 'a' | 'a' | 'b' 'b'",
+        # a unit cycle
+        "start: S\nS -> 'a' A 'a' | B\nA -> B | 'a' A 'b'\n"
+        "B -> A | 'b' B 'b' | 'a'",
+        # a unit to a long-flank rule
+        "start: S\nS -> 'b' S 'a' | U\nU -> 'a' 'b' U 'b' 'a' | 'a' 'a' | 'b'",
+    ]
+    for g in [g] + [d.parse_grammar(text) for text in units]:
+        out, _ = d.elin_to_dyck_nf(g)
+        assert d.is_dyck_nf(out)
+        assert not d.partition_nonterminals(out)["no_terminal"]
+        assert d.enumerate_words(g, 10) == d.enumerate_words(out, 10)
+        accepted = 0
+        for n in (9, 10, 11):
+            for letters in itertools.product("ab", repeat=n):
+                w = "".join(letters)
+                ok, trace = d.recognize_atm(out, w)
+                assert trace.route == "divide"
+                assert ok == d.member(out, w), (g, w)
+                accepted += ok
+        assert accepted, g
 
 
 def test_pipeline_shape_guarantee(elin_converted):

@@ -191,6 +191,9 @@ UNSOUND = {
                                      ("S x", ("a",))),
     "undeclared body symbol": _grammar(["S"], ["a"], "S", ("S", ("a", "b"))),
     "long terminal": _grammar(["S"], ["ab"], "S", ("S", ("ab",))),
+    "plain tuple rules": d.Grammar(["S", "A"], ["a", "b"], "S", [
+        ("S", ("A", "A")), ("A", ("a",)), ("S", ("b",))]),
+    "list body": d.Grammar(["S"], ["a"], "S", [d.Rule("S", ["a"])]),
 }
 
 _TREE = ("S", ("a",))
