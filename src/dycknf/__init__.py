@@ -53,7 +53,6 @@ from .normal_forms import (
     to_cnf,
     to_dyck_nf,
     verify_equivalence_matrices,
-    with_fresh_start,
 )
 from .dyck import (
     TraceUndefinedError,

@@ -89,8 +89,8 @@ class Grammar:
         and by every public function that builds none, so that each refuses
         an unsound grammar with validate's message;
       * `_heads`: head -> tuple of its rules in declaration order
-        (rules_for, validate_tree, and collapse_units and the terminal
-        stand-in plan of the conversions);
+        (rules_for, validate_tree, and the terminal stand-in plan of
+        to_dyck_nf);
       * `_cnf_index`: None when the grammar is not in Chomsky normal form
         (is_cnf), else the bitsets the cyk module reads: the nonterminals
         in declaration order (bit k stands for the k-th), nonterminal ->
@@ -368,10 +368,11 @@ def serialize(g):
 def validate(g, allow_lambda=False):
     """Raise GrammarError on structural defects; return None when sound.
 
-    Checks Rule-typed rules with tuple bodies, symbol well-formedness,
-    declaredness, single-character terminals, terminal/nonterminal name
-    disjointness, duplicate rules, and (unless allow_lambda) no lambda rules.  The check runs at most once
-    per Grammar, and every public function refuses with its message.
+    Checks Rule-typed rules with tuple bodies, string names, symbol
+    well-formedness, declaredness, single-character terminals,
+    terminal/nonterminal name disjointness, duplicate rules, and (unless
+    allow_lambda) no lambda rules.  The check runs at most once per
+    Grammar, and every public function refuses with its message.
     """
     _check(g, allow_lambda)
 
@@ -388,42 +389,48 @@ def _check(g, allow_lambda=True):
 def _find_defects(g):
     """(message of g's first defect, first lambda rule before it), None
     where there is none; a lambda rule is recorded, not refused, since only
-    enumerate_words accepts it."""
+    enumerate_words accepts it.  With the declared names checked to be
+    strings, a rule name that is not one fails with a TypeError, caught on
+    that failure path alone."""
     declared = set()
     for nt in g.nonterminals:
-        if not _IDENT.fullmatch(nt) or nt == "eps":
+        if not isinstance(nt, str) or not _IDENT.fullmatch(nt) or nt == "eps":
             return f"bad nonterminal name {nt!r}", None
         if nt in declared:
             return f"nonterminal {nt} declared twice", None
         declared.add(nt)
     for t in g.terminals:
-        if len(t) != 1 or t == "\n":
+        if not isinstance(t, str) or len(t) != 1 or t == "\n":
             return f"terminal {t!r} is not a single character", None
         if t in g._nt_set:
             return f"terminal {t!r} collides with a nonterminal name", None
         if t in declared:
             return f"terminal {t!r} declared twice", None
         declared.add(t)
-    if g.start not in g._nt_set:
+    if not isinstance(g.start, str) or g.start not in g._nt_set:
         return f"start symbol {g.start!r} is not declared", None
     lambda_rule = None
     seen_rules = set()
-    for r in g.rules:
-        if not isinstance(r, Rule):
-            return f"rule {r!r} is not a Rule", lambda_rule
-        lhs, rhs = r
-        if not isinstance(rhs, tuple):
-            return f"body of rule {lhs} is not a tuple: {rhs!r}", lambda_rule
-        if lhs not in g._nt_set:
-            return f"rule head {lhs!r} is not declared", lambda_rule
-        if not rhs and lambda_rule is None:
-            lambda_rule = r
-        for s in rhs:
-            if s not in declared:
-                return f"undeclared symbol {s!r} in rule {r}", lambda_rule
-        if r in seen_rules:
-            return f"duplicate rule {r}", lambda_rule
-        seen_rules.add(r)
+    try:
+        for r in g.rules:
+            if not isinstance(r, Rule):
+                return f"rule {r!r} is not a Rule", lambda_rule
+            lhs, rhs = r
+            if not isinstance(rhs, tuple):
+                return (f"body of rule {lhs} is not a tuple: {rhs!r}",
+                        lambda_rule)
+            if lhs not in g._nt_set:
+                return f"rule head {lhs!r} is not declared", lambda_rule
+            if not rhs and lambda_rule is None:
+                lambda_rule = r
+            for s in rhs:
+                if s not in declared:
+                    return f"undeclared symbol {s!r} in rule {r}", lambda_rule
+            if r in seen_rules:
+                return f"duplicate rule {r}", lambda_rule
+            seen_rules.add(r)
+    except TypeError:
+        return f"rule {r!r} holds a name that is not a string", lambda_rule
     return None, lambda_rule
 
 

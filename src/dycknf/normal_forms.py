@@ -99,52 +99,6 @@ def cleanup(g):
                    g.start, rules)
 
 
-def with_fresh_start(g):
-    """A copy whose start symbol occurs on no right-hand side.
-
-    If the start already stays off every rhs the grammar is returned as is;
-    otherwise a fresh start is prepended that repeats the old start's rules.
-    """
-    _check(g)
-    if all(g.start not in r.rhs for r in g.rules):
-        return g
-    used = set(g.nonterminals) | set(g.terminals)
-    s0 = fresh_name(f"{g.start}0", used)
-    rules = [_rule((s0, r.rhs)) for r in g.rules if r.lhs == g.start]
-    return Grammar([s0] + g.nonterminals, g.terminals, s0, rules + g.rules)
-
-
-def collapse_units(g):
-    """Replace unit rules (a lone nonterminal body) by their targets' rules.
-
-    The other rules keep their order; after them, each nonterminal in
-    declaration order gets the rules of the nonterminals its unit rules
-    reach, transitively and breadth first, unless it has them already.
-    """
-    heads = g._heads
-
-    def is_unit(r):
-        return len(r.rhs) == 1 and g.is_nonterminal(r.rhs[0])
-
-    rules = [r for r in g.rules if not is_unit(r)]
-    seen = set(rules)
-    for nt in g.nonterminals:
-        targets = [nt]
-        for cur in targets:
-            for r in heads.get(cur, ()):
-                if is_unit(r) and r.rhs[0] not in targets:
-                    targets.append(r.rhs[0])
-        for tgt in targets[1:]:
-            for r in heads.get(tgt, ()):
-                if is_unit(r):
-                    continue
-                cand = _rule((nt, r.rhs))
-                if cand not in seen:
-                    seen.add(cand)
-                    rules.append(cand)
-    return Grammar(g.nonterminals, g.terminals, g.start, rules)
-
-
 # ---- Chomsky normal form ----
 
 def to_cnf(g):
@@ -153,24 +107,40 @@ def to_cnf(g):
     Input that is already in CNF with its start symbol off every rhs comes
     back unchanged (object identity), useless symbols included, so the
     conversion is idempotent and safe to apply defensively.  Any other
-    input is converted and then pruned of useless symbols; grammars with
-    an empty language are rejected.
+    input is converted on one rule list, in order: (1) if the start occurs
+    in a body, a fresh start `S0` with copies of its rules goes first;
+    (2) terminals inside longer bodies move behind fresh `Lit_` heads, and
+    long bodies split into chains of binary rules through fresh `X_tail`
+    heads; (3) unit rules go, and after the other rules each nonterminal
+    in declaration order gets the rules of those its unit rules reach,
+    transitively and breadth first, unless it has them already; (4)
+    cleanup prunes useless symbols and rejects an empty language.
     """
     validate(g)
-    if is_cnf(g) and all(g.start not in r.rhs for r in g.rules):
+    start_in_body = any(g.start in r.rhs for r in g.rules)
+    if not start_in_body and is_cnf(g):
         return g
 
-    # one pass: terminals inside long bodies move behind fresh single-rule
-    # heads, then long bodies split into chains of binary rules
-    g = with_fresh_start(g)
     used = set(g.nonterminals) | set(g.terminals)
+    start, nts, rules_in = g.start, list(g.nonterminals), g.rules
+    if start_in_body:
+        start = fresh_name(f"{g.start}0", used)
+        nts.insert(0, start)
+        rules_in = [_rule((start, r.rhs)) for r in g.rules
+                    if r.lhs == g.start] + rules_in
+
+    terminals = g._t_set
     lit = {}
     tails = []
+    units = {}   # head -> the targets of its unit rules, in rule order
     rules = []
-    for lhs, rhs in g.rules:
+    for lhs, rhs in rules_in:
+        if len(rhs) == 1 and rhs[0] not in terminals:
+            units.setdefault(lhs, []).append(rhs[0])
+            continue
         body = list(rhs)
         for k, s in enumerate(rhs):
-            if len(rhs) > 1 and g.is_terminal(s):
+            if len(rhs) > 1 and s in terminals:
                 if s not in lit:
                     safe = s if s.isalnum() else f"u{ord(s):04x}"
                     lit[s] = fresh_name(f"Lit_{safe}", used)
@@ -184,10 +154,26 @@ def to_cnf(g):
             body = body[1:]
         rules.append(_rule((head, tuple(body))))
     rules += [_rule((name, (t,))) for t, name in lit.items()]
-    nts = g.nonterminals + list(lit.values()) + tails
+    nts += list(lit.values()) + tails
 
-    result = cleanup(collapse_units(Grammar(nts, g.terminals, g.start,
-                                            rules)))
+    heads = {}
+    for lhs, rhs in rules:
+        heads.setdefault(lhs, []).append(rhs)
+    seen = set(rules)
+    for nt in [a for a in nts if a in units]:
+        targets = [nt]
+        for cur in targets:
+            for tgt in units.get(cur, ()):
+                if tgt not in targets:
+                    targets.append(tgt)
+        for tgt in targets[1:]:
+            for rhs in heads.get(tgt, ()):
+                cand = _rule((nt, rhs))
+                if cand not in seen:
+                    seen.add(cand)
+                    rules.append(cand)
+
+    result = cleanup(Grammar(nts, g.terminals, start, rules))
     if not is_cnf(result):
         raise AssertionError("CNF conversion postcondition failed")
     return result

@@ -19,7 +19,7 @@ from dycknf.corpus import (elin_corpus, random_cnf_grammar,
                            random_elin_grammar)
 
 
-# ---- cleanup and fresh starts ----
+# ---- cleanup ----
 
 def test_cleanup_drops_useless_symbols():
     g = d.parse_grammar("""
@@ -34,17 +34,15 @@ def test_cleanup_drops_useless_symbols():
     assert out.rules == [d.Rule("S", ("a",))]
 
 
-def test_with_fresh_start(expr_cnf):
+# ---- Chomsky normal form ----
+
+def test_to_cnf_adds_a_fresh_start():
     g = d.parse_grammar("start: S\nS -> S S | 'a'")
-    out = d.with_fresh_start(g)
+    out = d.to_cnf(g)
     assert out.start == "S0"
     assert all(out.start not in r.rhs for r in out.rules)
     assert d.enumerate_words(g, 6) == d.enumerate_words(out, 6)
-    # already-clean grammars come back untouched
-    assert d.with_fresh_start(expr_cnf) is expr_cnf
 
-
-# ---- Chomsky normal form ----
 
 def test_to_cnf_shape_and_language(expr):
     out = d.to_cnf(expr)

@@ -5,6 +5,7 @@ phi-characterization, all against the enumeration oracle."""
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import dycknf as d
@@ -59,3 +60,22 @@ def test_pipeline_keeps_the_language_of_random_general_grammars():
                     d.trace_word(gd, t) for t in d.all_trees(gd, w)}, (seed, w)
         assert d.verify_characterization(gd, 5).ok, seed
     assert converted >= 100
+
+
+# sha256 of serialize(to_cnf(g)) over the grammars above, each refusal of
+# an empty language hashed as its message in its place: the only corpus
+# whose inputs take to_cnf's full path with unit cycles, the start symbol
+# inside a body and terminals inside long bodies
+CNF_DIGEST = ("8de36d52d95988dd17aeb3ec28576a7a"
+              "e5ccb9fb3f1d03b7091abf30f6de981a")
+
+
+def test_cnf_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for seed in range(300):
+        try:
+            text = d.serialize(d.to_cnf(random_general_grammar(seed)))
+        except d.GrammarError as e:
+            text = str(e)
+        digest.update(text.encode())
+    assert digest.hexdigest() == CNF_DIGEST
