@@ -8,18 +8,21 @@ until nothing new appears.  The conversion and recognition code in this
 package is always cross-checked against this oracle rather than against
 itself, so it shares no code with the parse table.
 
-Only the first sweep of a length runs every rule.  A later sweep re-runs
-the rules that a symbol changed by the sweep before it can reach.  At
-length 0 every nonterminal counts as nullable, so a changed symbol reaches
-each rule whose body holds no terminal (a body with a terminal never
-derives the empty word); a grammar without lambda rules changes nothing
-at length 0, so it never builds that map.  Once length 0 is saturated, the
-nullable symbols (those deriving the empty word) are final, and a word of
-length n >= 1 that uses a length-n word of B needs every other body symbol
-to derive the empty word; so B reaches a rule only when B is in its body
-and every other body symbol is nullable.  A lambda-free grammar (every CNF
-and Dyck normal form grammar) therefore re-runs only its unit rules, and
-without unit rules needs one sweep per length.
+The rules are grouped by body, and each sweep composes a body once and
+hands its words to every head that carries it; a Dyck normal form grammar
+has one binary body per bracket pair, shared by every stand-in of the
+pair's heads.  Only the first sweep of a length composes every body.  A
+later sweep re-composes the bodies that a symbol changed by the sweep
+before it can reach.  At length 0 every nonterminal counts as nullable, so
+a changed symbol reaches each body that holds no terminal (a body with a
+terminal never derives the empty word); a grammar without lambda rules
+changes nothing at length 0, so it never builds that map.  Once length 0
+is saturated, the nullable symbols (those deriving the empty word) are
+final, and a word of length n >= 1 that uses a length-n word of B needs
+every other body symbol to derive the empty word; so B reaches a body only
+when B is in it and every other symbol of it is nullable.  A lambda-free
+grammar (every CNF and Dyck normal form grammar) therefore re-composes
+only its unit bodies, and without unit rules needs one sweep per length.
 """
 
 from __future__ import annotations
@@ -50,55 +53,61 @@ def derivable_words(g, max_len, cap=DEFAULT_WORD_CAP):
     Each terminal t also gets a row, exactly max_len + 1 long, holding its
     one word t at length 1, so rule bodies compose all symbols alike.
     Lengths are filled in ascending order, so when length n is being
-    saturated everything shorter is already final.  Within one length the
-    first sweep runs every rule; each later sweep runs, in rule order, only
-    the rules that the last sweep's changed heads reach.  At length 0 a
-    changed symbol reaches every rule whose body is all nonterminals; that
-    map is built only when a length-0 sweep changes a symbol.  The
-    nullable set is final after length 0, and a rule gains a length-n word
-    from a length-n word of one body symbol only when every other body
-    symbol contributes the empty word; so from length 1 on a symbol reaches
-    only the rules in whose body every other symbol is nullable.
+    saturated everything shorter is already final.  The rules are grouped
+    by body, in order of first occurrence; a sweep composes each body once
+    and adds its words to the cell of every head that carries it.  The
+    first sweep of a length composes every body, and a later one the
+    bodies that _reach's map takes the last sweep's changed heads to: at
+    length 0 a map built only once a sweep changes a symbol, and from
+    length 1 on the map of the final nullable set.
     """
     table = {nt: [set() for _ in range(max_len + 1)] for nt in g.nonterminals}
     for t in g.terminals:
         table[t] = [{t} if n == 1 else set() for n in range(max_len + 1)]
-    rules = g.rules
+    heads = {}  # body -> its heads, both in order of first occurrence
+    for lhs, rhs in g.rules:
+        heads.setdefault(rhs, []).append(lhs)
+    bodies = list(heads.items())
     stored = 0
     reach = None  # the length-0 map waits for a sweep to change a symbol
     for n in range(0, max_len + 1):
-        todo = range(len(rules))
+        todo = range(len(bodies))
         while todo:
             changed = set()
             for i in todo:
-                lhs, rhs = rules[i]
-                new = _compose(table, rhs, n) - table[lhs][n]
-                if new:
-                    table[lhs][n] |= new
-                    stored += len(new)
-                    if stored > cap:
-                        raise ResourceLimitError(
-                            f"enumeration exceeded {cap} stored words "
-                            f"(grammar {g!r}, max_len {max_len})")
-                    changed.add(lhs)
+                rhs, lhss = bodies[i]
+                words = _compose(table, rhs, n)
+                if not words:
+                    continue
+                for lhs in lhss:
+                    new = words - table[lhs][n]
+                    if new:
+                        table[lhs][n] |= new
+                        stored += len(new)
+                        if stored > cap:
+                            raise ResourceLimitError(
+                                f"enumeration exceeded {cap} stored words "
+                                f"(grammar {g!r}, max_len {max_len})")
+                        changed.add(lhs)
             if changed and reach is None:  # only at length 0
-                reach = _reach(g, set(g.nonterminals))
+                reach = _reach(g, bodies, set(g.nonterminals))
             todo = sorted({i for s in changed for i in reach.get(s, ())})
         if n == 0:
-            reach = _reach(g, {nt for nt in g.nonterminals if table[nt][0]})
+            reach = _reach(g, bodies,
+                           {nt for nt in g.nonterminals if table[nt][0]})
     return table
 
 
-def _reach(g, nullable):
-    """Nonterminal -> indices of the rules it reaches, in rule order.
+def _reach(g, bodies, nullable):
+    """Nonterminal -> indices into bodies of the bodies it reaches, in order.
 
-    A body nonterminal reaches its rule when every other body position holds
-    a nullable symbol.  So a body with two or more positions that are not
-    nullable is reached by nothing, and a body with one is reached only by
-    the nonterminal there.
+    A body nonterminal reaches its body when every other body position
+    holds a nullable symbol.  So a body with two or more positions that are
+    not nullable is reached by nothing, and a body with one is reached only
+    by the nonterminal there.
     """
     reach = {}
-    for i, (_, rhs) in enumerate(g.rules):
+    for i, (rhs, _) in enumerate(bodies):
         solid = [s for s in rhs if s not in nullable]
         if len(solid) > 1:
             continue

@@ -120,8 +120,8 @@ class Grammar:
         self.terminals = list(terminals)
         self.start = start
         self.rules = list(rules)
-        self._nt_set = set(self.nonterminals)
-        self._t_set = set(self.terminals)
+        self._nt_set = _name_set(self.nonterminals)
+        self._t_set = _name_set(self.terminals)
 
     @cached_property
     def _defects(self):
@@ -202,6 +202,16 @@ class Grammar:
     def __repr__(self):
         return (f"Grammar(start={self.start!r}, |N|={len(self.nonterminals)}, "
                 f"|T|={len(self.terminals)}, |P|={len(self.rules)})")
+
+
+def _name_set(names):
+    """The names as a set, or an empty one when a name is unhashable: the
+    constructor leaves that name for validate to refuse, and validate reads
+    the sets only after checking that the names are strings."""
+    try:
+        return set(names)
+    except TypeError:
+        return set()
 
 
 # ---- text format ----

@@ -90,17 +90,42 @@ def random_grammar(seed):
     return d.Grammar(nts, ["a", "b"], "S", rules), rng.randint(0, 5)
 
 
-def test_agrees_with_a_plain_fixpoint_on_random_grammars():
-    for seed in range(300):
-        g, max_len = random_grammar(seed)
+def shared_body_grammar(seed):
+    """A handful of bodies, each carried by one to four of four heads: a
+    unit body always, a lambda body in most draws (so that bodies of
+    nonterminals are nullable), and up to three bodies of up to three
+    symbols."""
+    rng = random.Random(f"enumeration-shared:{seed}")
+    nts = ["S", "A", "B", "C"]
+    symbols = nts + ["a", "b"]
+    bodies = [(rng.choice(nts),)] + [()] * (rng.random() < 0.7)
+    bodies += [tuple(rng.choice(symbols) for _ in range(rng.randint(1, 3)))
+               for _ in range(rng.randint(1, 3))]
+    rules = []
+    for body in bodies:
+        for head in rng.sample(nts, rng.randint(1, 4)):
+            if d.Rule(head, body) not in rules:
+                rules.append(d.Rule(head, body))
+    return d.Grammar(nts, ["a", "b"], "S", rules), rng.randint(0, 5)
+
+
+def test_agrees_with_a_plain_fixpoint_on_random_grammars(dyck_corpus):
+    shared = [shared_body_grammar(seed) for seed in range(200)]
+    # Dyck normal form shares each binary body among its stand-ins
+    shared += [(gd, 5) for _, gd, _ in dyck_corpus[:5]]
+    assert sum(len({r.rhs for r in g.rules}) < len(g.rules)
+               for g, _ in shared) == 202  # all but three repeat a body
+    # the Dyck normal form cases store words, so they run the cap checks
+    for case, (g, max_len) in enumerate(
+            [random_grammar(seed) for seed in range(300)] + shared):
         want = plain_fixpoint(g, max_len)
         table = derivable_words(g, max_len)
         for nt in g.nonterminals:
             assert table[nt] == [{w for w in want[nt] if len(w) == n}
-                                 for n in range(max_len + 1)], (seed, nt)
+                                 for n in range(max_len + 1)], (case, nt)
         words = d.enumerate_words(g, max_len)
-        assert words == sorted((w for w in want["S"] if w),
-                               key=lambda w: (len(w), w)), seed
+        assert words == sorted((w for w in want[g.start] if w),
+                               key=lambda w: (len(w), w)), case
         stored = sum(len(ws) for ws in want.values())
         if stored:
             with pytest.raises(d.ResourceLimitError):
@@ -122,8 +147,8 @@ def test_length_zero_map_only_for_a_grammar_that_needs_it(monkeypatch,
     built = []
     reach = enumeration._reach
     monkeypatch.setattr(enumeration, "_reach",
-                        lambda g, nullable: built.append(nullable)
-                        or reach(g, nullable))
+                        lambda g, bodies, nullable: built.append(nullable)
+                        or reach(g, bodies, nullable))
     derivable_words(expr_cnf, 5)
     assert built == [set()]  # only the map for lengths 1 and up
     built.clear()
@@ -131,3 +156,16 @@ def test_length_zero_map_only_for_a_grammar_that_needs_it(monkeypatch,
     assert d.enumerate_words(d.parse_grammar(text), max_len) == words
     # every nonterminal counts as nullable at length 0, then only N and M
     assert built == [{"S", "A", "N", "M"}, {"N", "M"}]
+
+
+def test_composes_each_body_once_per_length(monkeypatch, expr_converted):
+    # expr_cnf in Dyck normal form has 26 rules over 10 bodies and no unit
+    # rule, so each of the lengths 0..5 takes one sweep over the 10 bodies
+    gd, _ = expr_converted
+    assert (len(gd.rules), len({r.rhs for r in gd.rules})) == (26, 10)
+    calls = []
+    compose = enumeration._compose
+    monkeypatch.setattr(enumeration, "_compose",
+                        lambda *args: calls.append(args) or compose(*args))
+    derivable_words(gd, 5)
+    assert len(calls) == 60

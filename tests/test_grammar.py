@@ -199,6 +199,9 @@ UNSOUND = {
     "list head": d.Grammar(["S"], ["a"], "S", [d.Rule(["S"], ("a",))]),
     "body symbol not a string": _grammar(["S"], ["a"], "S",
                                          ("S", ("a", 1))),
+    # unhashable names: the constructor must leave them to validate
+    "list nonterminal": d.Grammar([["S"]], ["a"], "S", []),
+    "list terminal": d.Grammar(["S"], [["a"]], "S", []),
 }
 
 _TREE = ("S", ("a",))
@@ -261,6 +264,15 @@ def test_every_entry_point_refuses_an_unsound_grammar():
             with pytest.raises(d.GrammarError) as exc:
                 call(g)
             assert str(refused.value) in str(exc.value), (kind, name)
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("list nonterminal", "bad nonterminal name ['S']"),
+    ("list terminal", "terminal ['a'] is not a single character")])
+def test_unhashable_names_are_named_by_validate(kind, message):
+    with pytest.raises(d.GrammarError) as exc:
+        d.validate(UNSOUND[kind])
+    assert str(exc.value) == message
 
 
 def test_soundness_is_checked_once_per_grammar(monkeypatch, expr_cnf):
