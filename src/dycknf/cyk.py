@@ -20,7 +20,10 @@ module's trace sets, read a word's one parse forest by one bottom-up walk
 (_evaluate) on an explicit stack, so no deep tree meets the recursion limit.
 The walk finds a node's children from its head's binary bodies, (B, C)
 pairs in declaration order, which the grammar caches apart from the index
-build_table reads.
+build_table reads.  The trace sets pass it a memo from (label, letters)
+to value that lives for one set of words, so a subforest that another
+word has already walked is reused, not expanded again (the shared forest
+of Billot and Lang); the other walkers pass none.
 
 extract_tree is deterministic on purpose: ambiguous words always yield the
 same canonical tree (smallest split point, then first applicable rule in
@@ -182,9 +185,11 @@ def all_trees(g, w, cap=DEFAULT_TREE_CAP):
                         lambda a, left, right: (a, (left, right)))
 
 
-def _every_parse(g, w, cap, leaf, join):
+def _every_parse(g, w, cap, leaf, join, memo=None):
     """One value per parse tree of w: a one-letter node is worth leaf(a, i),
-    a longer one join(a, left, right); stored values count against cap."""
+    a longer one join(a, left, right); stored values count against cap.
+    A memo, if given, is passed to _evaluate: values it supplies were
+    counted by the word that stored them, so are not counted again."""
     table = _parse_table(g, w)
     if table is None:
         return []
@@ -202,7 +207,8 @@ def _every_parse(g, w, cap, leaf, join):
         g, w, table, lambda a, i: keep([leaf(a, i)]),
         lambda a, i, j, pairs: keep([join(a, left, right)
                                      for lefts, rights in pairs
-                                     for left in lefts for right in rights]))
+                                     for left in lefts for right in rights]),
+        memo=memo)
 
 
 def count_trees(g, w):
@@ -214,12 +220,20 @@ def count_trees(g, w):
                      lambda a, i, j, pairs: sum(l * r for l, r in pairs))
 
 
-def _evaluate(g, w, table, leaf, node, first=False):
+def _evaluate(g, w, table, leaf, node, first=False, memo=None):
     """The value of w's parse forest: nodes (a, i, j), "a derives w_i..w_j".
 
     A node over one letter is worth leaf(a, i), a longer one node(a, i, j,
     pairs), pairs being the (left, right) values of its alternatives in
     canonical order; first=True reads only the first alternative.
+
+    memo, if given, maps (a, letters) to a value found for an earlier
+    word: a longer node whose label and letters it holds takes that value
+    and is not expanded.  The reuse is exact, since the cells inside a span
+    depend only on its letters, and so does a node's value.  When the walk
+    ends, the values of its longer nodes join the memo, all but the start
+    symbol's (never a child in Dyck normal form), so the nodes of one word
+    never share a value through it.
     """
     bodies = g._binary_bodies
     values = {}
@@ -236,12 +250,18 @@ def _evaluate(g, w, table, leaf, node, first=False):
             alts = alternatives.pop(key)
             values[key] = node(a, i, j,
                                [(values[b], values[c]) for b, c in alts])
+        elif memo is not None and (a, w[i - 1:j]) in memo:
+            values[key] = memo[a, w[i - 1:j]]
         else:
             alts = alternatives[key] = _alternatives(
                 bodies.get(a, ()), table, i, j, first)
             stack.append(key)  # comes back once its children have values
             for b, c in reversed(alts):
                 stack += c, b
+    if memo is not None:
+        for (a, i, j), value in values.items():
+            if a != g.start and i != j:
+                memo[a, w[i - 1:j]] = value
     return values[(g.start, 1, len(w))]
 
 

@@ -89,9 +89,9 @@ def in_dk_stack(word, k=None):
         return False
     stack = []
     for x in word:
-        if k is not None and abs(x) > k:
-            return False
-        if x > 0:
+        if x > 0:  # a closer beyond k matches no opener the test let in
+            if k is not None and x > k:
+                return False
             stack.append(x)
         else:
             if not stack or stack[-1] != -x:
@@ -207,7 +207,9 @@ def trace_language(g, max_word_len):
     One enumeration; each word's traces come off its parse forest, with
     trace_word over all_trees as the tests' oracle.  One-letter words have
     none (phi's extension covers them).  Caps: DEFAULT_WORD_CAP stored
-    words, DEFAULT_TREE_CAP parse subtrees per word, else ResourceLimitError.
+    words, DEFAULT_TREE_CAP parse subtrees per word, else ResourceLimitError;
+    a subforest that an earlier word stored counts against that word's cap
+    only (see _traces_of).
     """
     return _traces_of(g, enumerate_words(g, max_word_len,
                                          cap=DEFAULT_WORD_CAP))
@@ -217,7 +219,14 @@ def _traces_of(g, words):
     """The set of traces of every parse tree of every word in `words`, read
     off each forest with no tree built: a one-letter node is worth (a,), a
     longer one (a,) + left + right, the preorder of one parse tree of g.
-    At most DEFAULT_TREE_CAP values per word; trace_word is the oracle."""
+
+    One memo from (label, letters) to those values lives for the call, so a
+    subforest walked for one word is reused by the later words that hold
+    it.  Each word stores at most DEFAULT_TREE_CAP values of its own; a
+    reused value was counted by the word that stored it, so a one-word call
+    counts exactly as all_trees does.  trace_word is the oracle."""
     leaf, join = (lambda a, i: (a,)), (lambda a, u, v: (a,) + u + v)
+    memo = {}
     return {labels[1:] for w in words if len(w) > 1
-            for labels in _every_parse(g, w, DEFAULT_TREE_CAP, leaf, join)}
+            for labels in _every_parse(g, w, DEFAULT_TREE_CAP, leaf, join,
+                                       memo)}

@@ -63,9 +63,9 @@ def ledger_text(ledger):
 
 # ---- useless-symbol removal ----
 
-def cleanup(g):
-    """Drop unproductive and unreachable symbols and the rules using them."""
-    _check(g)
+def _productive(g):
+    """The nonterminals of g that derive a terminal word; a GrammarError if
+    the start symbol is not one of them."""
     productive = set()
     changed = True
     while changed:
@@ -79,6 +79,13 @@ def cleanup(g):
         raise GrammarError(
             f"start symbol {g.start} derives no terminal word "
             f"(the language is empty)")
+    return productive
+
+
+def cleanup(g):
+    """Drop unproductive and unreachable symbols and the rules using them."""
+    _check(g)
+    productive = _productive(g)
     live = [r for r in g.rules
             if r.lhs in productive
             and all(g.is_terminal(s) or s in productive for s in r.rhs)]
@@ -124,6 +131,7 @@ def to_cnf(g):
     used = set(g.nonterminals) | set(g.terminals)
     start, nts, rules_in = g.start, list(g.nonterminals), g.rules
     if start_in_body:
+        _productive(g)  # refuse an empty language under the input's start
         start = fresh_name(f"{g.start}0", used)
         nts.insert(0, start)
         rules_in = [_rule((start, r.rhs)) for r in g.rules

@@ -176,15 +176,23 @@ def verify_characterization(g, max_len):
     dprime = _traces_of(g, words)
     dprime |= {(left, right) for left, right, _ in ext.new_pairs}
 
-    images, extra, not_dyck = set(), [], []
-    for tr in sorted(dprime, key=lambda t: (len(t), t)):
-        image = apply_phi(phi, tr)
+    images, extra, not_dyck = set(), {}, []
+    for tr in dprime:
+        image = "".join(map(phi.__getitem__, tr))
         images.add(image)
-        word = tuple(code[name] for name in tr)
         if image not in language:
-            extra.append((render_dyck_word(word), image))
-        if not in_dk_stack(word, k=ext.k_total):
-            not_dyck.append(render_dyck_word(word))
+            extra[tr] = image
+        if not in_dk_stack(tuple(map(code.__getitem__, tr)), k=ext.k_total):
+            not_dyck.append(tr)
+
+    def text(tr):
+        return render_dyck_word(tuple(map(code.__getitem__, tr)))
+
+    def in_order(traces):  # only the failures are sorted: length, then names
+        return sorted(traces, key=lambda t: (len(t), t))
+
+    extra = [(text(tr), extra[tr]) for tr in in_order(extra)]
+    not_dyck = [text(tr) for tr in in_order(not_dyck)]
 
     missing = [w for w in words if w not in images]
     return CharacterizationReport(

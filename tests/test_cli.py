@@ -194,6 +194,15 @@ def test_bad_grammar_is_usage_error(capsys, monkeypatch):
     assert code == 2 and "error:" in err
 
 
+def test_empty_language_refusal_names_the_input_start(capsys, monkeypatch):
+    # S occurs in its own body, so to_cnf adds a fresh start S0; the
+    # refusal still names the start the user wrote
+    monkeypatch.setattr("sys.stdin", io.StringIO("start: S\nS -> 'a' S\n"))
+    assert run(capsys, "cnf", "-") == (
+        2, "", "error: start symbol S derives no terminal word "
+               "(the language is empty)\n")
+
+
 def refused(capsys, *argv):
     """Exit code and stderr of a command line that argparse rejects."""
     with pytest.raises(SystemExit) as exc:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dycknf as d
+import dycknf.cyk
 from dycknf.cli import main
 from dycknf.corpus import random_bracket_words
 from dycknf.dyck import _traces_of
@@ -154,12 +155,39 @@ def test_trace_routes_agree_on_corpus(dyck_corpus):
 
 def test_forest_traces_match_the_tree_walk(dyck_corpus, elin_converted):
     # the trace sets come straight off each word's parse forest; trace_word
-    # over every tree all_trees builds is the route they must agree with
+    # over every tree all_trees builds is the route they must agree with,
+    # for each word alone and for all of them in enumeration order, where
+    # the later words reuse the earlier words' subforests
     for _, gd, _ in dyck_corpus + elin_converted:
-        for w in d.enumerate_words(gd, 6):
+        words = d.enumerate_words(gd, 6)
+        union = set()
+        for w in words:
             expected = (set() if len(w) < 2 else
                         {d.trace_word(gd, t) for t in d.all_trees(gd, w)})
             assert _traces_of(gd, [w]) == expected, (gd, w)
+            union |= expected
+        assert _traces_of(gd, words) == union, gd
+
+
+def test_trace_sets_reuse_subforests_across_words(expr_dyck_expected,
+                                                  monkeypatch):
+    # a subforest one word has walked is not expanded again for a later
+    # word over the same letters: counted as calls of cyk._alternatives,
+    # one per expanded node (68 and 189 when each word walks its own)
+    ambiguous, _ = d.to_dyck_nf(d.parse_grammar(
+        "start: S0\nS0 -> S S | 'a'\nS -> S S | 'a'"))
+    alternatives = dycknf.cyk._alternatives
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return alternatives(*args)
+
+    monkeypatch.setattr(dycknf.cyk, "_alternatives", counted)
+    for gd, n, expanded in [(expr_dyck_expected, 7, 31), (ambiguous, 8, 29)]:
+        calls.clear()
+        d.trace_language(gd, n)
+        assert len(calls) == expanded, (gd, n)
 
 
 def test_trace_language_members_are_dyck(expr_converted):

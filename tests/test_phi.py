@@ -197,6 +197,25 @@ def test_trace_route_caps_where_all_trees_does(expr_converted, monkeypatch):
             d.trace_word(gd, t) for t in trees}
 
 
+def test_report_lists_failures_in_trace_order(expr_converted, monkeypatch):
+    # failures are listed by trace length, then by the trace's names, not by
+    # their bracket text: '[1 ...' follows '[2 ...' below
+    gd, _ = expr_converted
+    in_dk_stack = dycknf.phi.in_dk_stack
+    for lengths, expected in [
+            ((4,), ["[5 ]5 [7 ]7", "[6 ]6 [3 ]3"]),
+            ((4, 8), ["[5 ]5 [7 ]7", "[6 ]6 [3 ]3",
+                      "[2 [5 ]5 [7 ]7 ]2 [7 ]7", "[2 [6 ]6 [3 ]3 ]2 [7 ]7",
+                      "[5 ]5 [4 ]4 [6 ]6 [3 ]3", "[1 [6 ]6 [3 ]3 ]1 [3 ]3"])]:
+        monkeypatch.setattr(
+            dycknf.phi, "in_dk_stack",
+            lambda word, k=None: (len(word) not in lengths
+                                  and in_dk_stack(word, k)))
+        report = d.verify_characterization(gd, 7)
+        assert (report.missing, report.extra) == ([], [])
+        assert report.not_dyck == expected, lengths
+
+
 # sha256 of the reports and trace sets below; any change to a report field,
 # a list order or a trace changes it
 CHARACTERIZATION_DIGEST = ("18c68d0c734b82c67c8805fa61f1c68a"
