@@ -3,8 +3,10 @@
 One verb per job, file in, text out.  Exit codes follow the usual
 convention: 0 for success (or "is a member"), 1 for a negative verdict or
 failed verification, 2 for bad usage, unreadable input or a grammar that a
-verb cannot accept.  Grammar files use the package's text format; pass "-"
-to read the grammar from stdin, which lets verbs chain:
+verb cannot accept.  Every verb that gives a verdict ends in _verdict, the
+one home of that convention and of --machine's terse output.  Grammar files
+use the package's text format; pass "-" to read the grammar from stdin,
+which lets verbs chain:
 
     dycknf dyckify expr.cfg | dycknf member - 'a*a+a'
 """
@@ -45,6 +47,12 @@ def _dyckified(g):
     return to_dyck_nf(to_cnf(g))[0]
 
 
+def _verdict(args, ok, terse, full):
+    """Print terse under --machine and full otherwise; 0 if ok, else 1."""
+    print(terse if args.machine else full)
+    return 0 if ok else 1
+
+
 # ---- verbs ----
 
 def _cmd_cnf(args):
@@ -65,11 +73,7 @@ def _cmd_dyckify(args):
 def _cmd_member(args):
     g = to_cnf(_load(args.grammar))
     ok = member(g, args.word)
-    if args.machine:
-        print(int(ok))
-    else:
-        print("member" if ok else "not a member")
-    return 0 if ok else 1
+    return _verdict(args, ok, int(ok), "member" if ok else "not a member")
 
 
 def _cmd_trace(args):
@@ -85,12 +89,8 @@ def _cmd_trace(args):
         print(f"no trace: {e}", file=sys.stderr)
         return 1
     brackets = render_dyck_word(trace_as_brackets(g, tr))
-    if args.machine:
-        print(brackets)
-    else:
-        print("trace:   " + " ".join(tr))
-        print("as Dyck: " + brackets)
-    return 0
+    return _verdict(args, True, brackets,
+                    f"trace:   {' '.join(tr)}\nas Dyck: {brackets}")
 
 
 def _cmd_check_dyck(args):
@@ -101,12 +101,9 @@ def _cmd_check_dyck(args):
         print(f"BUG: routes disagree on {args.brackets!r} "
               f"(stack={via_stack}, counting={via_counts})", file=sys.stderr)
         return 2
-    if args.machine:
-        print(int(via_stack))
-    else:
-        print(f"stack route:    {'member' if via_stack else 'not a member'}")
-        print(f"counting route: {'member' if via_counts else 'not a member'}")
-    return 0 if via_stack else 1
+    said = "member" if via_stack else "not a member"
+    return _verdict(args, via_stack, int(via_stack),
+                    f"stack route:    {said}\ncounting route: {said}")
 
 
 def _cmd_phi(args):
@@ -135,21 +132,14 @@ def _cmd_phi(args):
 def _cmd_verify_phi(args):
     g = _dyckified(_load(args.grammar))
     report = verify_characterization(g, args.max_len)
-    if args.machine:
-        print("ok" if report.ok else "FAIL")
-    else:
-        print(report.render())
-    return 0 if report.ok else 1
+    return _verdict(args, report.ok, "ok" if report.ok else "FAIL",
+                    report.render())
 
 
 def _cmd_elin_recognize(args):
     g, _ = elin_to_dyck_nf(_load(args.grammar))
     ok, trace = recognize_atm(g, args.word)
-    if args.machine:
-        print(int(ok))
-    else:
-        print(trace.render())
-    return 0 if ok else 1
+    return _verdict(args, ok, int(ok), trace.render())
 
 
 def _cmd_verify_equiv(args):
@@ -174,12 +164,8 @@ def _cmd_verify_equiv(args):
     lines.append(f"parse-table comparison: {len(probes)} words, "
                  f"{bad_cells} cell mismatches")
     ok = same and bad_cells == 0
-    if args.machine:
-        print("ok" if ok else "FAIL")
-    else:
-        print("\n".join(lines))
-        print("ok" if ok else "FAIL")
-    return 0 if ok else 1
+    lines.append("ok" if ok else "FAIL")
+    return _verdict(args, ok, lines[-1], "\n".join(lines))
 
 
 # ---- wiring ----

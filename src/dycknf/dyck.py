@@ -53,8 +53,9 @@ def parse_dyck_text(text):
 
 
 def render_dyck_word(word):
-    """The text form of a bracket word."""
-    return " ".join(f"[{x}" if x > 0 else f"]{-x}" for x in word)
+    """The text form of a bracket word, which parse_dyck_text reads back."""
+    _check_word(word)
+    return " ".join(f"[{x:d}" if x > 0 else f"]{-x:d}" for x in word)
 
 
 def _check_word(word):

@@ -158,19 +158,6 @@ def iterated_division(p):
     return d, steps
 
 
-def _ceil_log2(x):
-    return (x - 1).bit_length()
-
-
-def _alt_depth(m, d):
-    """Guess/branch alternations needed for m unknown ladder positions."""
-    if m == 0:
-        return 0
-    if m < d:
-        return 1
-    return 2 + _alt_depth(m // d, d)
-
-
 # ---- the recognizer ----
 
 _ROOT = "<root>"
@@ -188,7 +175,9 @@ class AlternationTrace:
     p: int
     d: int = 0
     division: list = field(default_factory=list)
-    alternation_depth: int = 0  # analytic bound for this n
+    # analytic bound for this n, 2 * len(division) + (division[-1][0] > 0):
+    # two alternations per division step, one more for a nonzero last quotient
+    alternation_depth: int = 0
     max_depth_seen: int = 0     # deepest guess level the search visited
     space_cells: int = 0        # work-tape estimate, counters plus held pairs
     nodes: int = 0
@@ -350,7 +339,7 @@ def recognize_atm(g, w):
         ok = member(g, w)
         return ok, AlternationTrace(
             word=w, accepted=ok, route="table", n=n, p=p,
-            space_cells=8 * _ceil_log2(n + 1))
+            space_cells=8 * n.bit_length())
     off_ladder = _ladder_violations(g, pairs)
     if off_ladder:
         raise PipelineShapeError(
@@ -361,6 +350,7 @@ def recognize_atm(g, w):
     ok = search.decide(1, p, _ROOT, _CENTER, 0)
     return ok, AlternationTrace(
         word=w, accepted=ok, route="divide", n=n, p=p, d=d, division=chain,
-        alternation_depth=_alt_depth(p, d), max_depth_seen=search.max_depth,
-        space_cells=8 * _ceil_log2(n + 1) + search.max_held,
+        alternation_depth=2 * len(chain) + (chain[-1][0] > 0),
+        max_depth_seen=search.max_depth,
+        space_cells=8 * n.bit_length() + search.max_held,
         nodes=search.nodes)

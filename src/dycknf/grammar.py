@@ -102,10 +102,10 @@ class Grammar:
         bodies they make.  The table is a pure function of the rules, so
         it can live as long as the grammar;
       * `_binary_bodies`: head -> tuple of its binary bodies (B, C) in
-        declaration order, the children the CYK tree walks try and the
-        steps the even linear recognizer (elin._Search) follows.  It is
-        apart from `_cnf_index` so that member, which walks no tree,
-        never builds it;
+        declaration order, () for a head with none, read off `_heads`: the
+        children the CYK tree walks try and the steps the even linear
+        recognizer (elin._Search) follows.  It is apart from `_cnf_index`
+        so that member, which walks no tree, never builds it;
       * `_dyck_check`: the Dyck normal form violations, and the canonical
         pairing when there are none (dyck_nf_violations and pairing_of),
         read off the rules in one pass, without `_cnf_index` or `_heads`;
@@ -157,12 +157,8 @@ class Grammar:
 
     @cached_property
     def _binary_bodies(self):
-        _check(self)
-        bodies = {}
-        for lhs, rhs in self.rules:
-            if len(rhs) == 2:
-                bodies.setdefault(lhs, []).append(rhs)
-        return {a: tuple(b) for a, b in bodies.items()}
+        return {a: tuple(r.rhs for r in rules if len(r.rhs) == 2)
+                for a, rules in self._heads.items()}
 
     @cached_property
     def _dyck_check(self):

@@ -181,6 +181,79 @@ def test_verify_equiv_machine_output(capsys):
                "--machine") == (0, "ok\n", "")
 
 
+# ---- verdicts ----
+
+ELIN_SAID = ("verdict: {}\n"
+             "route: divide and conquer over p=6 ladder steps with d=2\n"
+             "iterated division of p: (3,0), (1,1) (2 steps)\n"
+             "alternation depth: 5 seen, 5 bound\n"
+             "work-tape cells: 38\n"
+             "search nodes: 7\n")
+EQUIV_SAID = ("language up to length 5: 7 words, identical across original, "
+              "cnf and dyck forms\n"
+              "parse-table comparison: 36 words, {} cell mismatches\n{}\n")
+
+# stands for stdin in a row that runs with verify-phi's and verify-equiv's
+# checks made to fail
+FAILED_CHECKS = object()
+
+# (argv, stdin, exit code, stdout, stdout under --machine)
+VERDICTS = [
+    (("member", EXPR, "a*a+a"), "", 0, "member\n", "1\n"),
+    (("member", EXPR, "a+"), "", 1, "not a member\n", "0\n"),
+    (("trace", EXPR_CNF, "a*a*a+a"), "", 0,
+     "trace:   E T T_t1 T1_R1 T2 R T1 T2 R E1 E2_L1 T_t1_R1\n"
+     "as Dyck: [2 [1 [6 ]6 [3 ]3 ]1 [3 ]3 ]2 [7 ]7\n",
+     "[2 [1 [6 ]6 [3 ]3 ]1 [3 ]3 ]2 [7 ]7\n"),
+    (("check-dyck", "[1 [2 ]2 ]1"), "", 0,
+     "stack route:    member\ncounting route: member\n", "1\n"),
+    (("check-dyck", "[1 ]2"), "", 1,
+     "stack route:    not a member\ncounting route: not a member\n", "0\n"),
+    (("verify-phi", f"{DATA}/expr_dyck.cfg", "--max-len", "5"), "", 0,
+     "phi-characterization up to length 5: ok\n"
+     "  words checked: 7   traces: 7   pairs: 7 base + 1 extension\n",
+     "ok\n"),
+    (("verify-phi", f"{DATA}/expr_dyck.cfg"), FAILED_CHECKS, 1,
+     "phi-characterization up to length 7: FAIL\n"
+     "  words checked: 1   traces: 0   pairs: 7 base + 1 extension\n"
+     "  MISSING a\n",
+     "FAIL\n"),
+    (("elin-recognize", "-", "aaaaaacbbbbbb"), ELIN_TEXT, 0,
+     "word: 'aaaaaacbbbbbb' (n=13)\n" + ELIN_SAID.format("member"), "1\n"),
+    (("elin-recognize", "-", "aaaaaaacbbbbbb"), ELIN_TEXT, 1,
+     "word: 'aaaaaaacbbbbbb' (n=14)\n" + ELIN_SAID.format("not a member"),
+     "0\n"),
+    (("elin-recognize", "-", "ab"), ELIN_TEXT, 1,
+     "word: 'ab' (n=2)\nverdict: not a member\n"
+     "route: parse table (short word, p=0 < 4)\nwork-tape cells: 16\n",
+     "0\n"),
+    (("verify-equiv", EXPR, "--max-len", "5"), "", 0,
+     EQUIV_SAID.format(0, "ok"), "ok\n"),
+    (("verify-equiv", EXPR, "--max-len", "5"), FAILED_CHECKS, 1,
+     EQUIV_SAID.format(36, "FAIL"), "FAIL\n"),
+]
+
+
+def test_verdict_bytes_and_exit_codes(capsys, monkeypatch):
+    def failed_report(g, max_len):
+        return d.CharacterizationReport(
+            ok=False, max_len=max_len, k_base=7, k_total=8, words=["a"],
+            trace_count=0, missing=["a"])
+
+    for argv, stdin, code, said, terse in VERDICTS:
+        for extra, out in (((), said), (("--machine",), terse)):
+            with monkeypatch.context() as m:
+                if stdin is FAILED_CHECKS:
+                    m.setattr("dycknf.cli.verify_characterization",
+                              failed_report)
+                    m.setattr("dycknf.cli.verify_equivalence_matrices",
+                              lambda g_cnf, g_dyck, ledger, w:
+                              [(1, 1, {"E"}, set())])
+                else:
+                    m.setattr("sys.stdin", io.StringIO(stdin))
+                assert run(capsys, *argv, *extra) == (code, out, ""), argv
+
+
 # ---- failure handling ----
 
 def test_missing_file_is_usage_error(capsys):

@@ -30,6 +30,12 @@ def test_parse_and_render():
     for bad in ["[0", "1", "[x", "[1]", "(1"]:
         with pytest.raises(ValueError):
             brackets(bad)
+    # rendering refuses what the parser would, and writes letters as ints
+    for bad in [(0,), (1.5,), ("a",), (1, None)]:
+        with pytest.raises(ValueError, match="nonzero ints"):
+            d.render_dyck_word(bad)
+    assert d.render_dyck_word((True, -1)) == "[1 ]1"
+    assert brackets(d.render_dyck_word((True, -1))) == (True, -1)
 
 
 @given(st.lists(st.integers(1, 9).flatmap(

@@ -362,6 +362,9 @@ def test_resource_accounting_grows_logarithmically():
             assert trace.alternation_depth <= 8 * bound
             assert trace.max_depth_seen <= trace.alternation_depth
             assert trace.space_cells <= 32 * bound
+            assert trace.route == "divide"
+            assert trace.alternation_depth == (
+                2 * len(trace.division) + (trace.division[-1][0] > 0))
 
 
 def test_recognizer_report_text():
@@ -370,8 +373,10 @@ def test_recognizer_report_text():
     assert "verdict: member" in text
     assert "divide and conquer" in text
     assert "iterated division" in text
-    short = d.recognize_atm(out, "c")[1].render()
-    assert "parse table" in short
+    short = d.recognize_atm(out, "c")[1]
+    assert "parse table" in short.render()
     ok, empty = d.recognize_atm(out, "")
     assert not ok and empty.p == 0
     assert "p=0 < 4" in empty.render()
+    for trace in (short, empty):  # eight cells per bit of n
+        assert trace.space_cells == 8 * trace.n.bit_length()
