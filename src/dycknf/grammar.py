@@ -30,7 +30,10 @@ from __future__ import annotations
 
 import re
 import reprlib
+from collections import Counter
 from functools import cached_property, partial
+from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple
 
 
@@ -88,6 +91,10 @@ class Grammar:
       * `_defects`: validate's findings, read first by every other index
         and by every public function that builds none, so that each refuses
         an unsound grammar with validate's message;
+      * `_by_body`: body -> list of its heads, both in order of first
+        occurrence, so that the CNF shape test, the CYK index, the Dyck
+        normal form check, serialize, and the start-on-body tests of to_cnf
+        and to_dyck_nf work once per distinct body;
       * `_heads`: head -> tuple of its rules in declaration order
         (rules_for, validate_tree, and the terminal stand-in plan of
         to_dyck_nf);
@@ -108,7 +115,7 @@ class Grammar:
         so that member, which walks no tree, never builds it;
       * `_dyck_check`: the Dyck normal form violations, and the canonical
         pairing when there are none (dyck_nf_violations and pairing_of),
-        read off the rules in one pass, without `_cnf_index` or `_heads`;
+        read off `_by_body`, without `_cnf_index` or `_heads`;
       * `_brackets`: the bracket map of a Dyck normal form grammar, from
         that pairing: bracket name -> signed pair number (pair k of
         pairing_of is +k / -k), and non-start nonterminal -> its terminal or
@@ -128,6 +135,14 @@ class Grammar:
         return _find_defects(self)
 
     @cached_property
+    def _by_body(self):
+        _check(self)
+        by_body = {}
+        for lhs, rhs in self.rules:
+            by_body.setdefault(rhs, []).append(lhs)
+        return by_body
+
+    @cached_property
     def _heads(self):
         _check(self)
         heads = {}
@@ -137,21 +152,19 @@ class Grammar:
 
     @cached_property
     def _cnf_index(self):
-        _check(self)
         if _off_cnf(self):
             return None
         names = tuple(self.nonterminals)
         bit = {a: 1 << k for k, a in enumerate(names)}
         by_terminal = {}
-        by_body = {}
-        for lhs, rhs in self.rules:
-            if len(rhs) == 1:
-                by_terminal[rhs[0]] = by_terminal.get(rhs[0], 0) | bit[lhs]
-            else:
-                by_body[rhs] = by_body.get(rhs, 0) | bit[lhs]
         by_left = {}
-        for (b, c), heads in by_body.items():
-            by_left.setdefault(bit[b], []).append((bit[c], heads))
+        for rhs, heads in self._by_body.items():
+            # the heads of one body are distinct, so their sum is their OR
+            mask = sum(map(bit.__getitem__, heads))
+            if len(rhs) == 1:
+                by_terminal[rhs[0]] = mask
+            else:
+                by_left.setdefault(bit[rhs[0]], []).append((bit[rhs[1]], mask))
         return (names, bit, by_terminal,
                 {b: tuple(p) for b, p in by_left.items()}, {})
 
@@ -233,13 +246,17 @@ def parse_grammar(text):
     line's start declaration or rule head is read first, then the start
     symbol is checked, then the bodies are read token by token.  A text with
     several errors reports the first in that order, so an error in a body
-    comes after any head or start symbol error.
+    comes after any head or start symbol error.  A line of known tokens
+    with no quoted '|' is read per alternative, each distinct alternative
+    text once per call; a line with an error goes to the token loop.
     """
     start = None
     heads = {}    # nonterminal -> None, in the order of their first rules
     bodies = []   # (head, body text, line, column where the body starts)
     for lineno, line in enumerate(text.split("\n"), start=1):
         if "#" in line:
+            if line.lstrip().startswith("#"):
+                continue
             line = _CODE.match(line).group()
         stripped = line.strip()
         if not stripped:
@@ -279,11 +296,17 @@ def parse_grammar(text):
     # blank-separated piece of a body is one of these, the pieces are its
     # tokens exactly, and the regular expression need not run
     known = {"|", "eps", *heads}
+    plain = {}    # alternative text of known tokens -> its body
     for lhs, rhs, lineno, col in bodies:
         rhs += " |"   # so a '|' ends every alternative, the last one too
         tokens = rhs.split()
         if not known.issuperset(tokens):
             tokens = _TOKEN.findall(rhs)
+        elif "'|'" not in rhs:
+            line_rules = _known_rules(lhs, rhs, plain, rules)
+            if line_rules is not None:
+                rules.update(line_rules)
+                continue
         body = []     # every token of the alternative, up to its '|'
         for i, tok in enumerate(tokens):
             if tok in heads or tok == "eps":
@@ -333,6 +356,27 @@ def parse_grammar(text):
     return Grammar(heads, terminals, start, rules)
 
 
+def _known_rules(lhs, rhs, plain, rules):
+    """The rules, as a dict, of a line of known tokens with no quoted '|';
+    None when an alternative is empty, mixes 'eps', is over-long or repeats
+    a rule.  plain maps each alternative text read so far to its body."""
+    line = {}
+    for alt in rhs.split("|")[:-1]:
+        body = plain.get(alt)
+        if body is None:
+            pieces = alt.split()
+            if (not pieces or len(pieces) > DEFAULT_MAX_RHS
+                    or "eps" in pieces and len(pieces) > 1):
+                return None
+            body = plain[alt] = tuple([p[1] if p[0] == "'" else p
+                                       for p in pieces if p != "eps"])
+        rule = _rule((lhs, body))
+        if rule in line or rule in rules:
+            return None
+        line[rule] = None
+    return line
+
+
 def _offset(rhs, i):
     """Where the i-th token of rhs starts, as an index into rhs."""
     return list(_TOKEN.finditer(rhs))[i].start()
@@ -348,23 +392,27 @@ def serialize(g):
     appear in rule bodies, with no unused terminal, as a parsed grammar does.
     A grammar validate refuses (lambda rules aside) raises its GrammarError;
     so do a nonterminal with no rules and a body longer than DEFAULT_MAX_RHS.
+    Each distinct body's text is rendered once, from `_by_body`.
     """
     _check(g)
-    heads = {r.lhs for r in g.rules}
+    with_rules = set(map(itemgetter(0), g.rules))
     for nt in g.nonterminals:
-        if nt not in heads:
+        if nt not in with_rules:
             raise GrammarError(
                 f"cannot serialize: nonterminal {nt} has no rules")
     text = {t: f"'{t}'" for t in g.terminals}
     text.update((nt, nt) for nt in g.nonterminals)
+    bodies = {}
+    for rhs, heads in g._by_body.items():
+        if len(rhs) > DEFAULT_MAX_RHS:
+            raise GrammarError(
+                f"cannot serialize: rule {Rule(heads[0], rhs)} has {len(rhs)} "
+                f"body symbols, more than DEFAULT_MAX_RHS={DEFAULT_MAX_RHS}")
+        bodies[rhs] = " ".join([text[s] for s in rhs]) or "eps"
     out = [f"start: {g.start}"]
     head = None
     for lhs, rhs in g.rules:
-        if len(rhs) > DEFAULT_MAX_RHS:
-            raise GrammarError(
-                f"cannot serialize: rule {Rule(lhs, rhs)} has {len(rhs)} body "
-                f"symbols, more than DEFAULT_MAX_RHS={DEFAULT_MAX_RHS}")
-        body = " ".join([text[s] for s in rhs]) or "eps"
+        body = bodies[rhs]
         # a rule under the same head joins its line, another starts one
         out.append(f" | {body}" if lhs == head else f"\n{lhs} -> {body}")
         head = lhs
@@ -395,9 +443,31 @@ def _check(g, allow_lambda=True):
 def _find_defects(g):
     """(message of g's first defect, first lambda rule before it), None
     where there is none; a lambda rule is recorded, not refused, since only
-    enumerate_words accepts it.  With the declared names checked to be
-    strings, a rule name that is not one fails with a TypeError, caught on
-    that failure path alone."""
+    enumerate_words accepts it.  A sound grammar passes set-level tests that
+    run in C; the loop of _first_defect runs only when one fails, or meets
+    an unhashable name, to name the first defect."""
+    nts, ts, rules = g._nt_set, g._t_set, g.rules
+    if ({*map(type, g.nonterminals), *map(type, g.terminals),
+         type(g.start)} == {str} and {*map(type, rules)} <= {Rule}
+            and len(nts) == len(g.nonterminals) and "eps" not in nts
+            and all(map(_IDENT.fullmatch, g.nonterminals))
+            and len(ts) == len(g.terminals) and {*map(len, ts)} <= {1}
+            and "\n" not in ts and nts.isdisjoint(ts) and g.start in nts):
+        bodies = [*map(itemgetter(1), rules)]
+        try:
+            if ({*map(type, bodies)} <= {tuple}
+                    and nts.issuperset(map(itemgetter(0), rules))
+                    and (nts | ts).issuperset(chain.from_iterable(bodies))
+                    and len(set(rules)) == len(rules)):
+                return None, None if all(bodies) else rules[bodies.index(())]
+        except TypeError:  # an unhashable name in a rule
+            pass
+    return _first_defect(g)
+
+
+def _first_defect(g):
+    """_find_defects name by name and rule by rule.  A rule name that is
+    not a string fails with a TypeError, caught on that path alone."""
     declared = set()
     for nt in g.nonterminals:
         if not isinstance(nt, str) or not _IDENT.fullmatch(nt) or nt == "eps":
@@ -450,11 +520,13 @@ def is_cnf(g):
 def _off_cnf(g):
     """The rules of g, in order, that are neither head -> terminal nor
     head -> pair of nonterminals: the CNF shape test of is_cnf and of the
-    Dyck normal form check."""
+    Dyck normal form check.  The shape is tested once per distinct body;
+    the rules are listed only when some body fails."""
     nts, ts = g._nt_set, g._t_set
-    return [r for r in g.rules
-            if not (len(rhs := r[1]) == 1 and rhs[0] in ts
-                    or len(rhs) == 2 and rhs[0] in nts and rhs[1] in nts)]
+    off = {rhs for rhs in g._by_body
+           if not (len(rhs) == 1 and rhs[0] in ts
+                   or len(rhs) == 2 and rhs[0] in nts and rhs[1] in nts)}
+    return [r for r in g.rules if r[1] in off] if off else []
 
 
 def dyck_nf_violations(g):
@@ -476,40 +548,47 @@ def dyck_nf_violations(g):
 
 def _check_dyck_nf(g):
     """(violations, pairing): the pairing is None unless there are none.
-    After the CNF shape test, one pass over the rules finds the other
-    violations; the check builds neither the CYK index nor the head index."""
-    _check(g)
+    After the CNF shape test, one pass over the distinct bodies finds the
+    pairs and the conflicts.  A body's violations are reported once per
+    rule with that body, so the rules are walked only when some body is at
+    fault.  The check builds neither the CYK index nor the head index."""
     off = _off_cnf(g)
     if off:
         return tuple(("not-cnf", str(r)) for r in off), None
 
-    violations = []
     pairs = []
     lefts = {}
     rights = {}
-    size = {}         # head -> its number of rules
-    lettered = set()  # the heads of terminal rules
+    faults = {}  # body -> its conflicts, when they or the start are there
     start = g.start
-    for r in g.rules:
-        lhs, rhs = r
-        size[lhs] = size.get(lhs, 0) + 1
+    for rhs in g._by_body:
         if len(rhs) == 1:
-            lettered.add(lhs)
             continue
         b, c = rhs
-        if start == b or start == c:
-            violations.append(("start-on-rhs", str(r)))
+        found = []
         if b in lefts and lefts[b] != c:
-            violations.append(("left-conflict", b, lefts[b], c))
+            found.append(("left-conflict", b, lefts[b], c))
         if c in rights and rights[c] != b:
-            violations.append(("right-conflict", c, rights[c], b))
+            found.append(("right-conflict", c, rights[c], b))
+        if found or start == b or start == c:
+            faults[rhs] = found
         if b not in lefts and c not in rights:
             pairs.append(rhs)
         lefts.setdefault(b, c)
         rights.setdefault(c, b)
+    violations = []
+    for r in g.rules if faults else ():
+        found = faults.get(r[1])
+        if found is not None:
+            if start in r[1]:
+                violations.append(("start-on-rhs", str(r)))
+            violations += found
     violations.extend(("both-sides", nt) for nt in lefts if nt in rights)
+    size = Counter(map(itemgetter(0), g.rules))
+    mixed = {h for rhs, heads in g._by_body.items() if len(rhs) == 1
+             for h in heads if size[h] > 1}
     violations.extend(("mixed-terminal", nt) for nt in g.nonterminals
-                      if nt != start and nt in lettered and size[nt] > 1)
+                      if nt != start and nt in mixed)
     return tuple(violations), None if violations else tuple(pairs)
 
 

@@ -36,6 +36,7 @@ language preservation is verified cell-by-cell on CYK tables
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .cyk import build_table
 from .grammar import (Grammar, GrammarError, _check, _malformed_tree, _rule,
@@ -124,7 +125,7 @@ def to_cnf(g):
     cleanup prunes useless symbols and rejects an empty language.
     """
     validate(g)
-    start_in_body = any(g.start in r.rhs for r in g.rules)
+    start_in_body = g.start in chain.from_iterable(g._by_body)
     if not start_in_body and is_cnf(g):
         return g
 
@@ -266,11 +267,11 @@ def to_dyck_nf(g):
         raise GrammarError(
             "Dyck normal form conversion needs Chomsky normal form input; "
             "run to_cnf first")
-    for r in g.rules:
-        if g.start in r.rhs:
-            raise GrammarError(
-                f"start symbol {g.start} occurs in rule body {r}; introduce "
-                f"a fresh start first (to_cnf does this)")
+    if g.start in chain.from_iterable(g._by_body):
+        r = next(r for r in g.rules if g.start in r.rhs)
+        raise GrammarError(
+            f"start symbol {g.start} occurs in rule body {r}; introduce "
+            f"a fresh start first (to_cnf does this)")
 
     st = _split_terminal_conflicts(g)
     _separate_sides(st)

@@ -7,6 +7,7 @@ import gc
 import inspect
 import pickle
 import random
+import re
 import sys
 
 import pytest
@@ -67,6 +68,25 @@ PARSE_ERRORS = {
                        "rule body has 9 symbols, limit is 8", 2, 12),
     "duplicate rule": ("start: S\nS -> 'a'\nS -> 'b' | 'a'",
                        "duplicate rule S -> a", 3, 12),
+    # lines whose every piece is a known token: the parser reads their
+    # distinct alternatives once per call, and reports like the token loop
+    "spaced duplicate": ("start: S\nS -> A B | A  B\nA -> 'a'\nB -> 'b'",
+                         "duplicate rule S -> A B", 2, 12),
+    "duplicate across lines": ("start: S\nS -> A B | 'a'\nS -> 'b' | A B\n"
+                               "A -> 'a'\nB -> 'b'",
+                               "duplicate rule S -> A B", 3, 12),
+    "eps among known": ("start: S\nS -> 'a'\nS -> A | A eps | 'a' A\n"
+                        "A -> 'a'",
+                        "'eps' cannot be mixed with other symbols", 3, 12),
+    "bar beside separators": ("start: S\nS -> '|' 'a' | 'a'\n"
+                              "S -> 'a' '|' | '|' 'a'",
+                              "duplicate rule S -> | a", 3, 16),
+    "over-long known body": ("start: S\nS -> 'a'\nS -> A | "
+                             + " ".join(["A"] * 9) + "\nA -> 'a'",
+                             "rule body has 9 symbols, limit is 8", 3, 10),
+    "comment beside '#'": ("start: S\nS -> '#' A  # a comment\n"
+                           "   # an indented comment line\n  S -> '#' A\n"
+                           "A -> 'a'", "duplicate rule S -> # A", 4, 8),
 }
 
 
@@ -86,9 +106,17 @@ def test_rhs_length_bound():
     assert d.parse_grammar(f"start: S\nS -> {at_limit}")
 
 
-def test_serialize_round_trip(expr, expr_cnf, expr_dyck_expected):
+def test_serialize_round_trip(expr, expr_cnf, expr_dyck_expected,
+                              dyck_corpus):
     for g in [expr, expr_cnf, expr_dyck_expected]:
         assert d.parse_grammar(d.serialize(g)) == g
+    # to_dyck_nf's outputs repeat their bodies under many heads.  They keep
+    # their input's terminal order, which need not be the order of first use
+    for _, gd, _ in dyck_corpus:
+        back = d.parse_grammar(d.serialize(gd))
+        assert back == d.Grammar(gd.nonterminals, back.terminals, gd.start,
+                                 gd.rules)
+        assert sorted(back.terminals) == sorted(gd.terminals)
 
 
 def test_serialize_refuses_what_parse_would_reject(expr, expr_cnf):
@@ -298,6 +326,107 @@ def test_soundness_is_checked_once_per_grammar(monkeypatch, expr_cnf):
             with pytest.raises(d.GrammarError):
                 ENTRY_POINTS[name](bad)
     assert [id(c) for c in calls] == [id(g), id(out), id(bad)]
+
+
+def _defects_rule_by_rule(g):
+    """validate's findings, one name and one rule at a time: the reference
+    for the set-level test in _find_defects."""
+    declared = set()
+    for nt in g.nonterminals:
+        if not isinstance(nt, str) or not IDENT.fullmatch(nt) or nt == "eps":
+            return f"bad nonterminal name {nt!r}", None
+        if nt in declared:
+            return f"nonterminal {nt} declared twice", None
+        declared.add(nt)
+    for t in g.terminals:
+        if not isinstance(t, str) or len(t) != 1 or t == "\n":
+            return f"terminal {t!r} is not a single character", None
+        if t in g._nt_set:
+            return f"terminal {t!r} collides with a nonterminal name", None
+        if t in declared:
+            return f"terminal {t!r} declared twice", None
+        declared.add(t)
+    if not isinstance(g.start, str) or g.start not in g._nt_set:
+        return f"start symbol {g.start!r} is not declared", None
+    lambda_rule = None
+    seen_rules = set()
+    try:
+        for r in g.rules:
+            if not isinstance(r, d.Rule):
+                return f"rule {r!r} is not a Rule", lambda_rule
+            lhs, rhs = r
+            if not isinstance(rhs, tuple):
+                return (f"body of rule {lhs} is not a tuple: {rhs!r}",
+                        lambda_rule)
+            if lhs not in g._nt_set:
+                return f"rule head {lhs!r} is not declared", lambda_rule
+            if not rhs and lambda_rule is None:
+                lambda_rule = r
+            for s in rhs:
+                if s not in declared:
+                    return f"undeclared symbol {s!r} in rule {r}", lambda_rule
+            if r in seen_rules:
+                return f"duplicate rule {r}", lambda_rule
+            seen_rules.add(r)
+    except TypeError:
+        return f"rule {r!r} holds a name that is not a string", lambda_rule
+    return None, lambda_rule
+
+
+IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+
+
+class _SubRule(d.Rule):
+    pass
+
+
+class _SubName(str):
+    pass
+
+
+def _chain_dyck_output(m=7):
+    """A Dyck normal form output of about 450 rules, from a CNF grammar of
+    m nonterminals with two binary bodies and one letter each."""
+    lines = ["start: N0"]
+    for k in range(m):
+        lines.append(f"N{k} -> N{(k + 1) % m} N{(3 * k + 2) % m} | "
+                     f"N{(5 * k + 1) % m} N{(2 * k + 3) % m} | "
+                     f"{'abcd'[k % 4]!r}")
+    return d.to_dyck_nf(d.to_cnf(d.parse_grammar("\n".join(lines))))[0]
+
+
+def test_set_level_defect_test_agrees_with_the_loop(monkeypatch, cnf_corpus,
+                                                    dyck_corpus):
+    from dycknf import grammar
+    sub = _SubName("S")
+    odd = [
+        d.Grammar(["S", "A"], ["a"], "S",
+                  [_SubRule("S", ("A",)), _SubRule("A", ("a",))]),
+        d.Grammar([sub, "A"], ["a"], sub, [d.Rule(sub, ("A",)),
+                                           d.Rule("A", ("a",))]),
+        d.Grammar(["S"], ["a"], "S", [d.Rule("S", ("a",) + (_SubName("a"),))]),
+        d.Grammar(["S"], ["a"], "S", [d.Rule("S", ()), d.Rule("S", ())]),
+        d.Grammar(["S"], [], "S", []),
+        # a lambda rule before a defect, after one, and with none
+        _grammar(["S"], ["a"], "S", ("S", ()), ("S", ("a",)),
+                 ("S", ("a",))),
+        _grammar(["S"], ["a"], "S", ("S", ("a",)), ("S", ("a",)),
+                 ("S", ())),
+        d.parse_grammar("start: S\nS -> A 'a' | 'b' | eps\nA -> eps"),
+    ]
+    for g in [*UNSOUND.values(), *odd, *cnf_corpus,
+              *(gd for _, gd, _ in dyck_corpus)]:
+        assert grammar._find_defects(g) == _defects_rule_by_rule(g), g
+
+    # the set-level test alone decides a sound grammar
+    def loop(g):
+        raise AssertionError("the loop ran on a sound grammar")
+
+    out = _chain_dyck_output()
+    monkeypatch.setattr(grammar, "_first_defect", loop)
+    g = d.Grammar(out.nonterminals, out.terminals, out.start, out.rules)
+    assert len(g.rules) > 400
+    d.validate(g)
 
 
 def test_lambda_rules_are_refused_only_where_validate_refuses_them():
@@ -633,6 +762,85 @@ def test_indexes_match_list_scans(dyck_corpus, scan_table):
                             == (other in g.rules))
             for w in random_words(g.terminals, 6, 12, seed=k):
                 assert d.build_table(g, w) == scan_table(g, w)
+        assert d.pairing_of(gd) == _scan_pairing(gd)
+
+
+def _violations_rule_by_rule(g):
+    """dyck_nf_violations of a CNF grammar, one rule at a time: the
+    reference for the check that works once per distinct body."""
+    violations, lefts, rights, size, lettered = [], {}, {}, {}, set()
+    for r in g.rules:
+        size[r.lhs] = size.get(r.lhs, 0) + 1
+        if len(r.rhs) == 1:
+            lettered.add(r.lhs)
+            continue
+        b, c = r.rhs
+        if g.start in r.rhs:
+            violations.append(("start-on-rhs", str(r)))
+        if b in lefts and lefts[b] != c:
+            violations.append(("left-conflict", b, lefts[b], c))
+        if c in rights and rights[c] != b:
+            violations.append(("right-conflict", c, rights[c], b))
+        lefts.setdefault(b, c)
+        rights.setdefault(c, b)
+    violations.extend(("both-sides", nt) for nt in lefts if nt in rights)
+    violations.extend(("mixed-terminal", nt) for nt in g.nonterminals
+                      if nt != g.start and nt in lettered and size[nt] > 1)
+    return violations
+
+
+def _cnf_index_rule_by_rule(g):
+    """The CYK index without its pair table, one rule at a time, with each
+    dict as its list of items so that the order is compared too."""
+    names = tuple(g.nonterminals)
+    bit = {a: 1 << k for k, a in enumerate(names)}
+    by_terminal, by_body, by_left = {}, {}, {}
+    for lhs, rhs in g.rules:
+        if len(rhs) == 1:
+            by_terminal[rhs[0]] = by_terminal.get(rhs[0], 0) | bit[lhs]
+        else:
+            by_body[rhs] = by_body.get(rhs, 0) | bit[lhs]
+    for (b, c), heads in by_body.items():
+        by_left.setdefault(bit[b], []).append((bit[c], heads))
+    return (names, list(bit.items()), list(by_terminal.items()),
+            [(b, tuple(p)) for b, p in by_left.items()])
+
+
+# CNF, with the conflicting body A C under three heads, and B S under two
+REPEATED_VIOLATIONS = """
+start: S
+S -> A B | A C | 'a'
+A -> A B | 'a'
+B -> A C | B S | 'b'
+C -> A C | 'c'
+D -> B S | S B | 'd'
+"""
+
+
+def test_violations_keep_their_order_and_repeats(cnf_corpus, dyck_corpus):
+    g = d.parse_grammar(REPEATED_VIOLATIONS)
+    assert d.dyck_nf_violations(g) == [
+        ("left-conflict", "A", "B", "C"),
+        ("left-conflict", "A", "B", "C"),
+        ("start-on-rhs", "B -> B S"),
+        ("left-conflict", "A", "B", "C"),
+        ("start-on-rhs", "D -> B S"),
+        ("start-on-rhs", "D -> S B"),
+        ("right-conflict", "B", "A", "S"),
+        ("both-sides", "B"),
+        ("both-sides", "S"),
+        ("mixed-terminal", "A"),
+        ("mixed-terminal", "B"),
+        ("mixed-terminal", "C"),
+        ("mixed-terminal", "D")]
+    shared = d.parse_grammar(SHARED_BODIES)
+    for g in [g, shared, _wide_cnf(), *cnf_corpus,
+              *(gd for _, gd, _ in dyck_corpus)]:
+        assert d.dyck_nf_violations(g) == _violations_rule_by_rule(g)
+        index = g._cnf_index
+        assert (index[0], *(list(x.items()) for x in index[1:4])) == (
+            _cnf_index_rule_by_rule(g))
+    for _, gd, _ in dyck_corpus:
         assert d.pairing_of(gd) == _scan_pairing(gd)
 
 
