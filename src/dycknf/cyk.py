@@ -15,6 +15,15 @@ call.  It returns the masks in a read-only view, CYKTable, that maps each
 is read.  member and the tree walks test bits of the masks themselves, so
 they decode nothing.
 
+member and the tree walks read a word's table through _parse_table.  When
+the table would hold more cells, n(n+1)/2, than the grammar has
+nonterminals, it first holds the word against the grammar's letter pairs:
+the letters its words begin and end with and the two-letter strings they
+hold, a local (2-testable) superset of the language, of the kind the
+Chomsky-Schutzenberger theorem gives.  A word that breaks them is refused
+in linear time with no table built.  verify_equivalence_matrices calls
+build_table itself, so it keeps building both of its tables.
+
 extract_tree, count_trees, and through _every_parse all_trees and the dyck
 module's trace sets, read a word's one parse forest by one bottom-up walk
 (_evaluate) on an explicit stack, so no deep tree meets the recursion limit.
@@ -33,6 +42,7 @@ declaration order), so golden tests can pin exact derivations.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from operator import add
 
 from .grammar import GrammarError, ResourceLimitError
 
@@ -140,7 +150,10 @@ def _names(names, mask):
 
 
 def member(g, w):
-    """Does g derive w?  The empty word is never a member here."""
+    """Does g derive w?  The empty word is never a member here.  A word
+    whose table would hold more cells than g has nonterminals is first held
+    against g's letter pairs, and one that breaks them is refused in time
+    linear in its length, without a table (see _parse_table)."""
     return _parse_table(g, w) is not None
 
 
@@ -148,7 +161,20 @@ def _parse_table(g, w):
     """The table of w when g derives it, else None.
 
     A grammar not in Chomsky normal form is refused whatever the word.
+    When the table would be larger than the grammar, n(n+1)/2 cells against
+    |N| nonterminals, w is first held against Grammar._letter_pairs: a word
+    whose first letter, last letter or some adjacent pair of letters no word
+    of g has is not derived, and None comes back with no table built.  A
+    smaller table costs less than reading the pairs, so it is built as is.
     """
+    n = len(w)
+    if n * (n + 1) // 2 > len(g.nonterminals):
+        bounds = g._letter_pairs
+        if bounds is not None:
+            first, last, pairs = bounds
+            if not (w[0] in first and w[-1] in last
+                    and pairs.issuperset(map(add, w, w[1:]))):
+                return None
     table = build_table(g, w)
     start = table._index[1][g.start]
     return table if w and table._rows[0][-1] & start else None

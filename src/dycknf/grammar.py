@@ -108,6 +108,12 @@ class Grammar:
         as it goes: left mask -> right mask -> mask of the heads of the
         bodies they make.  The table is a pure function of the rules, so
         it can live as long as the grammar;
+      * `_letter_pairs`: None off Chomsky normal form, else a local
+        superset of the language read off `_cnf_index`'s masks: the
+        letters a word of the start symbol can begin with, those it can
+        end with, and the two-letter strings that can stand next to each
+        other in it, as three frozensets (cyk._parse_table refuses a word
+        that breaks them without building its table);
       * `_binary_bodies`: head -> tuple of its binary bodies (B, C) in
         declaration order, () for a head with none, read off `_heads`: the
         children the CYK tree walks try and the steps the even linear
@@ -167,6 +173,11 @@ class Grammar:
                 by_left.setdefault(bit[rhs[0]], []).append((bit[rhs[1]], mask))
         return (names, bit, by_terminal,
                 {b: tuple(p) for b, p in by_left.items()}, {})
+
+    @cached_property
+    def _letter_pairs(self):
+        index = self._cnf_index
+        return None if index is None else _find_letter_pairs(index, self.start)
 
     @cached_property
     def _binary_bodies(self):
@@ -248,7 +259,9 @@ def parse_grammar(text):
     several errors reports the first in that order, so an error in a body
     comes after any head or start symbol error.  A line of known tokens
     with no quoted '|' is read per alternative, each distinct alternative
-    text once per call; a line with an error goes to the token loop.
+    text once per call; a line with an error goes to the token loop.  The
+    grammar comes with its `_defects` recorded, since the text refuses
+    every defect validate names but a lambda rule.
     """
     start = None
     heads = {}    # nonterminal -> None, in the order of their first rules
@@ -353,7 +366,11 @@ def parse_grammar(text):
                 raise ParseError(f"unexpected character {tok!r}", lineno,
                                  col + _offset(rhs, i))
 
-    return Grammar(heads, terminals, start, rules)
+    g = Grammar(heads, terminals, start, rules)
+    # the loops above refuse every defect _find_defects names, so only a
+    # lambda rule is left for it to find
+    g._defects = None, next((r for r in g.rules if not r[1]), None)
+    return g
 
 
 def _known_rules(lhs, rhs, plain, rules):
@@ -527,6 +544,56 @@ def _off_cnf(g):
            if not (len(rhs) == 1 and rhs[0] in ts
                    or len(rhs) == 2 and rhs[0] in nts and rhs[1] in nts)}
     return [r for r in g.rules if r[1] in off] if off else []
+
+
+def _find_letter_pairs(index, start):
+    """(first letters, last letters, adjacent two-letter strings) of the
+    words of start, or a superset of each, from a CYK index.
+
+    A nonterminal derives a word beginning with a when it has the terminal
+    rule a or a body whose left child does: so begins[a], the mask of those
+    nonterminals, is the closure of a's terminal heads under "left child ->
+    heads", and ends[a] that of "right child -> heads".  Two adjacent
+    letters x y of a word of start meet at the lowest node over both, a
+    body B C with B ending in x and C beginning with y: so xy is allowed
+    when the right partners of ends[x] meet begins[y].  Each closure takes
+    one step per nonterminal, so the whole costs O(|T| * |N|) steps and
+    |T|^2 mask tests; it holds for every grammar in Chomsky normal form.
+    """
+    _, bit, by_terminal, by_left, _ = index
+    up_left, up_right = {}, {}  # child bit -> mask of its bodies' heads
+    partners = {}               # left child bit -> mask of its right partners
+    for b, bodies in by_left.items():
+        for c, heads in bodies:
+            up_left[b] = up_left.get(b, 0) | heads
+            up_right[c] = up_right.get(c, 0) | heads
+            partners[b] = partners.get(b, 0) | c
+    begins = {a: _closure(m, up_left) for a, m in by_terminal.items()}
+    ends = {a: _closure(m, up_right) for a, m in by_terminal.items()}
+    s = bit[start]
+    pairs = set()
+    for x, mask in ends.items():
+        right = 0
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            right |= partners.get(low, 0)
+        pairs.update(x + y for y, m in begins.items() if right & m)
+    return (frozenset(a for a, m in begins.items() if m & s),
+            frozenset(a for a, m in ends.items() if m & s), frozenset(pairs))
+
+
+def _closure(mask, up):
+    """mask with the bits up maps its bits to, repeated until none is new:
+    each bit is looked up once."""
+    todo = mask
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        new = up.get(low, 0) & ~mask
+        mask |= new
+        todo |= new
+    return mask
 
 
 def dyck_nf_violations(g):

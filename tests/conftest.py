@@ -1,9 +1,10 @@
 """Shared fixtures: the worked expression grammar in its three forms, the
-seeded random corpora, and two test-side oracles.  Everything heavy is session-scoped so the
+seeded random corpora, and three test-side oracles.  Everything heavy is session-scoped so the
 acceptance module and the unit tests share one set of conversions."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from pathlib import Path
 
@@ -91,6 +92,29 @@ def _scan_table(g, w):
 def scan_table():
     """The reference CYK table as a dict of sets, the oracle for the masks."""
     return _scan_table
+
+
+def _filter_misses(g, max_len):
+    """The words of at most max_len letters over g's terminals on which
+    member differs from a bare build_table verdict, or which g derives but
+    its letter pairs refuse: [] when the pre-filter is sound on g."""
+    first, last, pairs = g._letter_pairs
+    misses = []
+    for n in range(1, max_len + 1):
+        for letters in itertools.product(g.terminals, repeat=n):
+            w = "".join(letters)
+            derived = g.start in d.build_table(g, w)[1, n]
+            fits = (w[0] in first and w[-1] in last
+                    and all(w[i:i + 2] in pairs for i in range(n - 1)))
+            if d.member(g, w) != derived or derived and not fits:
+                misses.append(w)
+    return misses
+
+
+@pytest.fixture(scope="session")
+def filter_misses():
+    """The oracle for the letter-pair pre-filter of member."""
+    return _filter_misses
 
 
 def _members_of_length(g, length, count, seed):

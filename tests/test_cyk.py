@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dycknf as d
+from dycknf import cyk
 from dycknf.corpus import (corpus_grammars, random_cnf_grammar,
                            random_elin_members)
 
@@ -291,3 +292,47 @@ def test_empty_language_cleanup_raises():
     g = d.parse_grammar("start: S\nS -> A S\nA -> 'a'")
     with pytest.raises(d.GrammarError):
         d.cleanup(g)
+
+
+def test_letter_pairs_never_refuse_a_member(expr_cnf, cnf_corpus,
+                                            dyck_corpus, elin_converted,
+                                            filter_misses):
+    for g in [*cnf_corpus, *(gd for _, gd, _ in dyck_corpus),
+              *(gd for _, gd, _ in elin_converted)]:
+        assert filter_misses(g, 6) == [], g.rules
+    # a planted filter with one pair of a member dropped is caught
+    g = d.Grammar(expr_cnf.nonterminals, expr_cnf.terminals, expr_cnf.start,
+                  expr_cnf.rules)
+    first, last, pairs = g._letter_pairs
+    assert d.member(g, "a*a") and "a*" in pairs
+    g._letter_pairs = first, last, pairs - {"a*"}
+    assert "a*a" in filter_misses(g, 6)
+
+
+def test_a_refused_word_builds_no_table(monkeypatch, expr_converted):
+    gd, _ = expr_converted
+    w = "a" + "+a" * 50_000
+    mutant = w[:50_000] + "+" + w[50_001:]   # "+++" in the middle
+    assert len(mutant) == 100_001
+
+    def no_table(g, w):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(cyk, "build_table", no_table)
+    assert not d.member(gd, mutant)
+    with pytest.raises(d.NotAMemberError):
+        d.extract_tree(gd, mutant)
+    assert d.count_trees(gd, mutant) == 0
+    assert d.all_trees(gd, mutant) == []
+
+
+def test_a_table_no_larger_than_the_grammar_skips_the_filter(monkeypatch,
+                                                              expr):
+    g = d.to_dyck_nf(d.to_cnf(expr))[0]
+    assert len(g.nonterminals) > 15   # the 15 cells of a 5-letter word
+
+    def no_filter(g):
+        raise AssertionError("the letter pairs were read")
+
+    monkeypatch.setattr(d.Grammar, "_letter_pairs", property(no_filter))
+    assert d.member(g, "a*a+a") and not d.member(g, "aa+aa")

@@ -9,6 +9,7 @@ import pickle
 import random
 import re
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -427,6 +428,47 @@ def test_set_level_defect_test_agrees_with_the_loop(monkeypatch, cnf_corpus,
     g = d.Grammar(out.nonterminals, out.terminals, out.start, out.rules)
     assert len(g.rules) > 400
     d.validate(g)
+
+
+def _assert_parse_records_defects(text):
+    """parse_grammar stores the findings _find_defects would make."""
+    from dycknf import grammar
+    g = d.parse_grammar(text)
+    assert vars(g)["_defects"] == grammar._find_defects(g), text
+
+
+def test_parsed_grammars_come_with_their_defects(cnf_corpus, dyck_corpus):
+    data = Path(__file__).parent / "data"
+    texts = [p.read_text() for p in sorted(data.glob("*.cfg"))]
+    texts += [d.serialize(g) for g in cnf_corpus]
+    texts += [d.serialize(gd) for _, gd, _ in dyck_corpus]
+    texts += ["start: S\nS -> A 'a' | 'b' | eps\nA -> eps",
+              "start: S\nS -> 'a'\nS -> S S | eps\nB -> eps | 'b'"]
+    for text in texts:
+        _assert_parse_records_defects(text)
+
+
+_HEADS = ("S", "A", "B")
+_SYMBOLS = ("S", "A", "B", "'a'", "'b'", "'S'", "'|'", "'#'", "'''", "' '",
+            "'e'")
+# a rule for A and one for B, so that a body may use them
+_TAIL = "\nA -> 'a' 'a' 'a' 'a'\nB -> 'b' 'b' 'b' 'b'"
+
+
+@given(st.lists(st.tuples(
+    st.sampled_from(_HEADS),
+    st.lists(st.just(["eps"]) | st.lists(st.sampled_from(_SYMBOLS),
+                                         min_size=1, max_size=3),
+             min_size=1, max_size=3)), min_size=1, max_size=5))
+@settings(max_examples=400, deadline=None)
+def test_fuzzed_texts_come_with_their_defects(lines):
+    text = "start: S\n" + "\n".join(
+        f"{head} -> {' | '.join(' '.join(alt) for alt in alts)}"
+        for head, alts in lines) + _TAIL
+    try:
+        _assert_parse_records_defects(text)
+    except d.ParseError:
+        pass
 
 
 def test_lambda_rules_are_refused_only_where_validate_refuses_them():

@@ -1,7 +1,8 @@
 """The whole pipeline on random general grammars: text round trip, to_cnf,
 to_dyck_nf, trees mapped back, CYK tables cell by cell, the trace sets read
 off the parse forest against trace_word over every tree, and the
-phi-characterization, all against the enumeration oracle."""
+phi-characterization, all against the enumeration oracle; member's
+letter-pair pre-filter against bare parse tables."""
 
 from __future__ import annotations
 
@@ -29,7 +30,8 @@ def random_general_grammar(seed):
     return d.parse_grammar("\n".join(lines))
 
 
-def test_pipeline_keeps_the_language_of_random_general_grammars():
+def test_pipeline_keeps_the_language_of_random_general_grammars(
+        filter_misses):
     converted = 0
     for seed in range(300):
         g = random_general_grammar(seed)
@@ -44,6 +46,7 @@ def test_pipeline_keeps_the_language_of_random_general_grammars():
         for h in (gc, gd):
             back = d.parse_grammar(d.serialize(h))
             assert (back.start, back.rules) == (h.start, h.rules), seed
+            assert filter_misses(h, 6) == [], seed
         words = d.enumerate_words(g, 6)
         assert d.enumerate_words(gc, 6) == words, seed
         assert d.enumerate_words(gd, 6) == words, seed
