@@ -5,10 +5,14 @@ matched-pair positions elsewhere in the package are 1-based and keeping the
 two conventions aligned prevents a whole class of off-by-one bugs.
 
 build_table works on bitsets: a cell is one int mask over the grammar's
-nonterminals.  It pushes rather than pulls: each finished cell is combined
-with the nonempty cells of the next row only, never with an empty one, and
-each distinct pair of masks is worked out once per grammar, by one partner
-test per bit of the left mask (one partner per symbol in Dyck normal form),
+nonterminals.  It pushes rather than pulls, and pairs cells by role: a
+finished cell is combined only through its left-child bits, and only with
+the cells of the next row that hold right-child bits, so two cells meet only
+when they might make a body.  When the long cells hold one role only, as on
+a right-linear chain in Dyck normal form (where no symbol is both) or left
+recursion, they never meet each other, and the work is quadratic.  Each
+distinct pair of role-masked cells is worked out once per grammar, by one
+partner test per left bit (one partner per symbol in Dyck normal form),
 into a pair table that the grammar's cached index keeps for every later
 call.  It returns the masks in a read-only view, CYKTable, that maps each
 (i, j) to a set of nonterminal names but decodes a cell only when that cell
@@ -90,31 +94,38 @@ def build_table(g, w):
     """The recognition table of w, 1-based, as a CYKTable view.
 
     Masks are indexed by Grammar._cnf_index.  Rows fill from the last up,
-    each left to right; a cell is final when the loop reaches it, and is
-    then pushed into every cell it can be the left half of, by combining
-    it with each nonempty cell of the next row.  So only pairs of nonempty
-    cells are combined, and each distinct pair of masks once per grammar:
-    the index's pair table (left mask -> right mask -> heads) fills as pairs
-    first meet and keeps them for later words.  It holds one entry per
-    distinct pair of nonempty cell masks that has met in some table of the
-    grammar, so it grows with the square of the number of distinct cell
-    masks the grammar's tables hold, not with the number of calls.
+    each left to right; a cell is final when the loop reaches it.  If it
+    holds a right child of some body, its right-child bits are listed among
+    its row's partners; if it holds a left child, its left-child bits are
+    pushed into every cell it can be the left half of, by combining them
+    with each partner listed for the next row.  No product reads other
+    bits, so the cells are those of combining every pair of nonempty
+    cells.  Each distinct pair of role-masked cells is worked out once per
+    grammar: the index's pair table (left-child mask -> right-child mask ->
+    heads) fills as pairs first meet and keeps them for later words.  It
+    holds one entry per distinct pair that has met in some table of the
+    grammar, so it grows with the square of the number of distinct masked
+    cells the grammar's tables hold, not with the number of calls.
     """
     index = g._cnf_index
     if index is None:
         raise GrammarError(_NOT_CNF)
-    _, _, by_terminal, by_left, products = index
+    _, _, by_terminal, by_left, lefts, rights, products = index
     n = len(w)
     rows = [[0] * n for _ in range(n)]  # rows[i][j]: the mask of w[i..j]
-    filled = [[] for _ in range(n + 1)]  # filled[i]: (j, rows[i][j]) if != 0
+    filled = [[] for _ in range(n + 1)]  # filled[i]: (j, rows[i][j] & rights)
     for i in range(n - 1, -1, -1):
         row, cells = rows[i], filled[i]
         row[i] = by_terminal.get(w[i], 0)
         for k in range(i, n):
-            left = row[k]
+            cell = row[k]
+            if not cell:
+                continue
+            if cell & rights:
+                cells.append((k, cell & rights))
+            left = cell & lefts
             if not left:
                 continue
-            cells.append((k, left))
             known = products.get(left)
             if known is None:
                 known = products[left] = {}

@@ -104,10 +104,11 @@ class Grammar:
         its bit, terminal -> mask of the heads of its terminal rules,
         left-child bit -> tuple of (right-partner mask, mask of the heads
         of that body), one entry per right partner, so exactly one per left
-        symbol in Dyck normal form, and the pair table build_table fills
-        as it goes: left mask -> right mask -> mask of the heads of the
-        bodies they make.  The table is a pure function of the rules, so
-        it can live as long as the grammar;
+        symbol in Dyck normal form, the mask of every left child and that
+        of every right child (disjoint in Dyck normal form), and the pair
+        table build_table fills as it goes: left-child mask -> right-child
+        mask -> mask of the heads of the bodies they make.  The table is a
+        pure function of the rules, so it can live as long as the grammar;
       * `_letter_pairs`: None off Chomsky normal form, else a local
         superset of the language read off `_cnf_index`'s masks: the
         letters a word of the start symbol can begin with, those it can
@@ -164,15 +165,19 @@ class Grammar:
         bit = {a: 1 << k for k, a in enumerate(names)}
         by_terminal = {}
         by_left = {}
+        lefts = rights = 0
         for rhs, heads in self._by_body.items():
             # the heads of one body are distinct, so their sum is their OR
             mask = sum(map(bit.__getitem__, heads))
             if len(rhs) == 1:
                 by_terminal[rhs[0]] = mask
             else:
-                by_left.setdefault(bit[rhs[0]], []).append((bit[rhs[1]], mask))
+                b, c = bit[rhs[0]], bit[rhs[1]]
+                by_left.setdefault(b, []).append((c, mask))
+                lefts |= b
+                rights |= c
         return (names, bit, by_terminal,
-                {b: tuple(p) for b, p in by_left.items()}, {})
+                {b: tuple(p) for b, p in by_left.items()}, lefts, rights, {})
 
     @cached_property
     def _letter_pairs(self):
@@ -560,7 +565,7 @@ def _find_letter_pairs(index, start):
     one step per nonterminal, so the whole costs O(|T| * |N|) steps and
     |T|^2 mask tests; it holds for every grammar in Chomsky normal form.
     """
-    _, bit, by_terminal, by_left, _ = index
+    _, bit, by_terminal, by_left, *_ = index
     up_left, up_right = {}, {}  # child bit -> mask of its bodies' heads
     partners = {}               # left child bit -> mask of its right partners
     for b, bodies in by_left.items():

@@ -13,6 +13,7 @@ import itertools
 import pickle
 import random
 import sys
+import time
 from collections.abc import Mapping
 
 import pytest
@@ -211,6 +212,23 @@ def test_dense_tables_match_the_scan(expr_converted, elin_converted,
             if g is full:
                 assert all(table.values())  # no cell is empty
             assert d.member(g, w)
+
+
+def test_long_one_role_chains_parse_in_quadratic_time():
+    """Words whose long spans hold right children only (the chain's Dyck
+    normal form) or left children only (left recursion in CNF).  Pairing
+    every nonempty cell with every nonempty cell of the next row is cubic
+    here: over 13 s for member on the chain alone."""
+    chain = d.to_dyck_nf(d.to_cnf(d.parse_grammar(
+        "start: S\nS -> A S | 'a'\nA -> 'a'")))[0]
+    left = d.to_cnf(d.parse_grammar("start: S\nS -> S A | 'a'\nA -> 'a'"))
+    t0 = time.perf_counter()
+    for g, w in ((chain, "a" * 1100), (left, "a" * 600)):
+        assert d.member(g, w)
+        assert d.tree_yield(d.extract_tree(g, w)) == w
+        assert d.count_trees(g, w) == 1
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 5.0, f"{elapsed:.2f}s"
 
 
 def test_table_view_contract(expr_cnf, scan_table):

@@ -833,19 +833,23 @@ def _violations_rule_by_rule(g):
 
 def _cnf_index_rule_by_rule(g):
     """The CYK index without its pair table, one rule at a time, with each
-    dict as its list of items so that the order is compared too."""
+    dict as its list of items so that the order is compared too: the role
+    masks are the bits of the left and of the right children of the rules."""
     names = tuple(g.nonterminals)
     bit = {a: 1 << k for k, a in enumerate(names)}
     by_terminal, by_body, by_left = {}, {}, {}
+    lefts = rights = 0
     for lhs, rhs in g.rules:
         if len(rhs) == 1:
             by_terminal[rhs[0]] = by_terminal.get(rhs[0], 0) | bit[lhs]
         else:
             by_body[rhs] = by_body.get(rhs, 0) | bit[lhs]
+            lefts |= bit[rhs[0]]
+            rights |= bit[rhs[1]]
     for (b, c), heads in by_body.items():
         by_left.setdefault(bit[b], []).append((bit[c], heads))
     return (names, list(bit.items()), list(by_terminal.items()),
-            [(b, tuple(p)) for b, p in by_left.items()])
+            [(b, tuple(p)) for b, p in by_left.items()], lefts, rights)
 
 
 # CNF, with the conflicting body A C under three heads, and B S under two
@@ -880,8 +884,8 @@ def test_violations_keep_their_order_and_repeats(cnf_corpus, dyck_corpus):
               *(gd for _, gd, _ in dyck_corpus)]:
         assert d.dyck_nf_violations(g) == _violations_rule_by_rule(g)
         index = g._cnf_index
-        assert (index[0], *(list(x.items()) for x in index[1:4])) == (
-            _cnf_index_rule_by_rule(g))
+        assert (index[0], *(list(x.items()) for x in index[1:4]),
+                *index[4:6]) == _cnf_index_rule_by_rule(g)
     for _, gd, _ in dyck_corpus:
         assert d.pairing_of(gd) == _scan_pairing(gd)
 
