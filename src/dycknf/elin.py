@@ -17,9 +17,11 @@ root and a center condition".  Instead of scanning the chain left to right,
 the chain is split into d = floor(log2 p) blocks by guessed cut points and
 the blocks are checked independently; recursing on the blocks gives
 O(log n) guess/branch alternations and an O(log n)-cell work tape, which is
-what the AlternationTrace bookkeeping measures.  iterated_division is the
-arithmetic core of that recursion, exposed on its own because its step
-count is the interesting quantity.
+what the AlternationTrace bookkeeping measures.  The duty tables are built
+once per word, and only guesses whose prefix duties hold are tried; like
+the memo, the tables cache the simulation, so space_cells stays the
+machine's tape.  iterated_division is the arithmetic core of the
+recursion, exposed on its own because its step count is what matters.
 """
 
 from __future__ import annotations
@@ -205,10 +207,12 @@ class AlternationTrace:
 class _Search:
     """Shared state for one divide-and-conquer membership run: the duties
     between adjacent ladder positions and decide, the one guess loop over
-    them.  pairs is partition_nonterminals(g); partner sends each left
-    bracket to its right one, by pairing_of; phi (the letter map) and
-    bodies (head -> its binary bodies in declaration order) are g's cached
-    _brackets[1] and _binary_bodies, so they are read, never written."""
+    them.  The duties are worked out once per word: rows[k][left] holds,
+    as bits over cands (and <center> at k = p), each right name with
+    duty(k, left, right).  pairs is partition_nonterminals(g); partner
+    sends each left bracket to its right one, by pairing_of; phi (the
+    letter map) and bodies (head -> its binary bodies in declaration
+    order) are g's cached _brackets[1] and _binary_bodies, read only."""
 
     def __init__(self, g, w, d, pairs):
         self.w = w
@@ -220,6 +224,12 @@ class _Search:
         self.bodies = g._binary_bodies
         self.start_bodies = self.bodies.get(g.start, ())
         self.cands = [l for l, _ in pairs["left_terminal"]]
+        self.bit = {j: 1 << i for i, j in enumerate(self.cands + [_CENTER])}
+        self.rows = [{left: sum(self.bit[j] for j in rights
+                                if self.duty(k, left, j))
+                      for left in (self.cands if k else [_ROOT])}
+                     for k, rights in enumerate(
+                         [self.cands] * self.p + [[_CENTER]])]
         self.memo = {}
         self.nodes = 0
         self.max_depth = 0
@@ -260,14 +270,25 @@ class _Search:
         return any(self.phi[cl] == w[p] and self.phi[cr] == w[p + 1]
                    for cl, cr in bodies)
 
+    def guesses(self, k, left, r, ncuts):
+        """Each prefix of r names whose duties k .. k+r-1 hold, read off
+        the rows, then each choice of ncuts cut names: the guesses that
+        itertools.product over cands meets, in its order."""
+        if not r:
+            return itertools.product(self.cands, repeat=ncuts)
+        return ((j,) + rest for j in self.cands
+                if self.rows[k][left] & self.bit[j]
+                for rest in self.guesses(k + 1, j, r - 1, ncuts))
+
     def decide(self, a, b, left, right, depth):
         """Can positions a..b be filled so duties a-1 .. b all hold?
 
         One guess loop serves every block of m positions.  It guesses a
-        prefix of r = m mod d positions and, when m >= d, d - 1 cut points
-        that split the rest into d blocks of q = m // d, each decided
-        recursively.  A block below d positions is all prefix (r = m, no
-        cut), so it checks its closing duty b itself.
+        prefix of r = m mod d positions, trying only prefixes whose duties
+        hold, and, when m >= d, d - 1 cut points that split the rest into
+        d blocks of q = m // d, each decided recursively.  A block below d
+        positions is all prefix (r = m, no cut), so it reads its closing
+        duty b off the rows.
         """
         if depth > self.max_depth:
             self.max_depth = depth
@@ -284,17 +305,14 @@ class _Search:
         if m and depth + 1 > self.max_depth:
             self.max_depth = depth + 1
         ok = False
-        for combo in itertools.product(self.cands, repeat=r + len(cuts)):
+        for combo in self.guesses(a - 1, left, r, len(cuts)):
             names, cutjs = (left,) + combo[:r], combo[r:]
-            if not all(self.duty(a - 1 + t, names[t], names[t + 1])
-                       for t in range(r)):
-                continue
             if cuts:
                 blocks = zip(starts, ends, names[-1:] + cutjs,
                              cutjs + (right,))
                 ok = all(self.decide(*block, depth + 2) for block in blocks)
             else:
-                ok = self.duty(b, names[-1], right)
+                ok = bool(self.rows[b][names[-1]] & self.bit[right])
             if ok:
                 break
         self.memo[key] = ok

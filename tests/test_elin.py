@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,7 @@ from dycknf.corpus import (
     random_elin_members,
     random_words,
 )
+from dycknf.elin import _CENTER, _ROOT, _Search
 
 CANONICAL_DYCK = """
 start: S0
@@ -274,6 +276,58 @@ def test_recognizer_output_is_pinned(elin_converted):
                 counts["accepted" if ok else "refused"] += 1
     assert counts == {"words": 3351, "refused": 1745, "accepted": 41}
     assert digest.hexdigest() == RECOGNIZER_DIGEST
+
+
+def product_guesses(search, k, left, r, ncuts):
+    """The guesses of a block by brute force: every itertools.product of
+    r prefix names and ncuts cut names whose duties k .. k+r-1 hold."""
+    for combo in itertools.product(search.cands, repeat=r + ncuts):
+        names = (left,) + combo[:r]
+        if all(search.duty(k + t, names[t], names[t + 1])
+               for t in range(r)):
+            yield combo
+
+
+def test_guess_walk_follows_product_order(elin_converted):
+    blocks = 0
+    for g, gd, _ in elin_converted:
+        sigma = sorted(g.terminals)
+        members = random_elin_members(g, 15, 41, seed=7)
+        words = (members + mutate_words(members, sigma, 20, seed=7)
+                 + random_words(sigma, 25, 60, seed=7))
+        for w in [w for w in words if len(w) >= 9]:
+            p = (len(w) - 1) // 2
+            dd, _ = d.iterated_division(p)
+            search = _Search(gd, w, dd, d.partition_nonterminals(gd))
+            search.decide(1, p, _ROOT, _CENTER, 0)
+            for a, b, left, _ in search.memo:
+                q, r = divmod(b - a + 1, dd)
+                ncuts = dd - 1 if q else 0
+                pairs = itertools.zip_longest(
+                    search.guesses(a - 1, left, r, ncuts),
+                    product_guesses(search, a - 1, left, r, ncuts))
+                for t, (got, want) in enumerate(pairs):
+                    assert got == want, (
+                        f"{w!r}, block {a}..{b} after {left}: guess {t} "
+                        f"is {got}, brute force has {want}")
+                blocks += 1
+    assert blocks == 2701
+
+
+def test_recognizer_agrees_on_long_words():
+    gd, _ = d.elin_to_dyck_nf(elin_corpus(5)[2])
+    start = time.perf_counter()
+    # members of 92 and 106 letters, each with a mutant whose letter a
+    # quarter of the way in is flipped
+    for w in ("aabb" * 11 + "bbaa" + "baaa" * 11,
+              "aabb" * 12 + "aabbbaaaaa" + "baaa" * 12):
+        i = len(w) // 4
+        mutant = w[:i] + "ab"[w[i] == "a"] + w[i + 1:]
+        for word, expect in [(w, True), (mutant, False)]:
+            ok, trace = d.recognize_atm(gd, word)
+            assert trace.route == "divide"
+            assert ok is expect and d.member(gd, word) is expect, word
+    assert time.perf_counter() - start < 5
 
 
 def test_recognizer_agrees_exhaustively():
